@@ -3,7 +3,9 @@
 # configure, build, run the full gtest suite via ctest, then smoke the
 # unified experiment runner — `radio_bench run --all` on a tiny trial budget
 # must emit 18 manifests that scripts/bench_report.py validates. This gates
-# registry completeness and manifest well-formedness, not performance.
+# registry completeness and manifest well-formedness, not performance. A
+# short perfbench/ run per workload then gates the benchmark's own
+# correctness audits (reference-channel replays, determinism re-runs).
 #
 # Static-analysis stages (docs/static-analysis.md):
 #   * radio-lint runs right after the configure step, before the full build —
@@ -90,6 +92,25 @@ fi
 if "$BUILD_DIR/bench/radio_bench" run E2 --graph-backend=dense 2>/dev/null; then
   echo "ci: radio_bench accepted --graph-backend=dense" >&2; exit 1
 fi
+
+# -------------------------------------------------------- perfbench audits
+# The benchmark's own correctness checks (perfbench/README.md): sampled
+# broadcasts replayed through a listener-side reference channel, protocol
+# re-runs (determinism), batched lanes re-run per instance, and later passes
+# repeating the first pass's outcome digests. One short run per workload,
+# built under the CI build dir; it fails unless every check held and every
+# broadcast completed.
+for workload in centralized distributed oblivious_batch; do
+  result="$(CARGO_TARGET_DIR="$BUILD_DIR" python3 perfbench/run.py \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+  if ! python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result"
+  then
+    echo "ci: perfbench $workload audits failed: $result" >&2; exit 1
+  fi
+done
+echo "ci: perfbench audits ok (3 workloads)" >&2
 
 # ---------------------------------------------------------- streaming smoke
 # E16 end to end twice: the manifests must pass the throughput gate (every

@@ -129,10 +129,12 @@ WALLCLOCK_RE = re.compile(
     r"|\b(?:std\s*::\s*)?(time|clock|gettimeofday|clock_gettime|timespec_get)\s*\("
 )
 
-# no-iostream-in-kernel: files on the dense-round / BFS hot path.
+# no-iostream-in-kernel: files on the round-fold / BFS hot path.
 KERNEL_FILES = (
     "src/sim/channel_kernel.cpp",
     "src/sim/channel_kernel.hpp",
+    "src/sim/engine.cpp",
+    "src/sim/engine.hpp",
     "src/sim/batch/batch_engine.cpp",
     "src/sim/batch/batch_engine.hpp",
     "src/sim/batch/batch_scheduler.cpp",
@@ -142,6 +144,8 @@ KERNEL_FILES = (
     "src/sim/stream/stream_session.hpp",
     "src/sim/stream/streaming_protocol.cpp",
     "src/sim/stream/streaming_protocol.hpp",
+    "src/gossip/gossip_session.cpp",
+    "src/gossip/gossip_session.hpp",
     "src/graph/bfs.cpp",
     "src/graph/bfs.hpp",
     "src/graph/implicit_gnp.cpp",

@@ -116,65 +116,53 @@ struct CentralizedResult {
 /// iff it is uninformed, not transmitting, and has exactly one transmitting
 /// neighbor — collapses to
 ///
-///     newly = once & ~twice & ~informed
+///     newly = unique & ~informed
 ///
-/// (transmitters ⊆ informed, so ~informed already excludes them). Both the
-/// sparse sweep and the word-parallel dense fold below are exact, and for
-/// the materialized Graph the informed evolution is bit-identical to the
-/// BroadcastSession the builder previously drove.
+/// over the round fold's read-out (transmitters ⊆ informed, so ~informed
+/// already excludes them). For the materialized Graph the informed
+/// evolution is bit-identical to the BroadcastSession the builder
+/// previously drove.
 template <GraphBackend G>
 class LightSession {
  public:
   LightSession(const G& g, NodeId source)
-      : g_(&g),
-        informed_(g.num_nodes()),
-        once_(g.num_nodes()),
-        twice_(g.num_nodes()) {
+      : g_(&g), informed_(g.num_nodes()), fold_(g.num_nodes()) {
     RADIO_EXPECTS(source < g.num_nodes());
     informed_.set(source);
     informed_count_ = 1;
   }
 
   void step(std::span<const NodeId> transmitters) {
-    once_.clear_all();
-    twice_.clear_all();
-    bool dense = false;
-    if constexpr (std::is_same_v<G, Graph>) {
-      dense = dense_round_pays(g_->num_nodes(), transmitters.size(),
-                               sum_transmitter_degrees(*g_, transmitters));
-    }
-    if constexpr (std::is_same_v<G, Graph>) {
-      if (dense) {
-        const std::size_t wpr = g_->bitmap_words_per_row();
-        for (NodeId t : transmitters) {
-          RADIO_EXPECTS(informed_.test(t));
-          accumulate_hits_words(once_.words().data(), twice_.words().data(),
-                                g_->adjacency_row(t).data(), wpr);
-        }
-      }
-    }
-    if (!dense) {
-      for (NodeId t : transmitters) {
-        RADIO_EXPECTS(informed_.test(t));
-        for (NodeId w : g_->neighbors(t)) {
-          if (once_.test(w))
-            twice_.set(w);
-          else
-            once_.set(w);
-        }
-      }
-    }
-    const std::span<const std::uint64_t> once_w = once_.words();
-    const std::span<const std::uint64_t> twice_w = twice_.words();
+    for (NodeId t : transmitters) RADIO_EXPECTS(informed_.test(t));
+    fold_.fold(*g_, transmitters);
     const std::span<std::uint64_t> informed_w = informed_.words();
     std::size_t newly = 0;
-    for (std::size_t i = 0; i < once_w.size(); ++i) {
-      const std::uint64_t fresh = once_w[i] & ~twice_w[i] & ~informed_w[i];
+    fold_.read_out([&](std::size_t base, std::uint64_t, std::uint64_t unique) {
+      std::uint64_t& known = informed_w[base / 64];
+      const std::uint64_t fresh = andnot(unique, known);
       newly += static_cast<std::size_t>(std::popcount(fresh));
-      informed_w[i] |= fresh;
-    }
+      known |= fresh;
+    });
     informed_count_ += newly;
     last_newly_ = newly;
+  }
+
+  /// Counts how many currently uninformed listeners would receive the
+  /// message if exactly `sample` (distinct, informed nodes) transmitted,
+  /// without changing the session — the builder's look-ahead used to
+  /// resample unproductive phase-2 rounds before committing them.
+  /// O(Σ deg(sample)), or bitmap rows when the dense cost model pays.
+  std::size_t preview_new_informed(std::span<const NodeId> sample) {
+    fold_.mark_transmitters(sample);
+    fold_.fold(*g_, sample);
+    const std::span<const std::uint64_t> informed_w = informed_.words();
+    std::size_t newly = 0;
+    fold_.read_out([&](std::size_t base, std::uint64_t, std::uint64_t unique) {
+      newly += static_cast<std::size_t>(
+          std::popcount(andnot(unique, informed_w[base / 64])));
+    });
+    fold_.clear_transmitters(sample);
+    return newly;
   }
 
   bool informed(NodeId v) const noexcept { return informed_.test(v); }
@@ -205,65 +193,12 @@ class LightSession {
  private:
   const G* g_;
   Bitset informed_;
-  Bitset once_;
-  Bitset twice_;
+  RoundFold fold_;  ///< scratch shared by step() and preview_new_informed()
   std::size_t informed_count_ = 0;
   std::size_t last_newly_ = 0;
 };
 
 namespace centralized_detail {
-
-/// Counts how many currently uninformed listeners would receive the message
-/// if exactly `sample` (all informed) transmitted — the builder's look-ahead
-/// used to resample unproductive phase-2 rounds before committing them.
-/// Accumulates over the SAMPLE's neighborhoods (O(Σ deg(sample)), the cheap
-/// direction on every backend; the old implementation swept every listener's
-/// neighborhood instead, O(2m) per preview) or over bitmap rows when the
-/// dense cost model pays; both produce exact counts.
-template <GraphBackend G>
-std::size_t preview_new_informed(const G& g, const LightSession<G>& session,
-                                 std::span<const NodeId> sample) {
-  const NodeId n = g.num_nodes();
-  Bitset member(n);
-  Bitset once(n);
-  Bitset twice(n);
-  for (NodeId v : sample) member.set(v);
-
-  bool dense = false;
-  if constexpr (std::is_same_v<G, Graph>) {
-    dense = dense_round_pays(n, sample.size(),
-                             sum_transmitter_degrees(g, sample));
-  }
-  if constexpr (std::is_same_v<G, Graph>) {
-    if (dense) {
-      const std::size_t wpr = g.bitmap_words_per_row();
-      for (NodeId t : sample)
-        accumulate_hits_words(once.words().data(), twice.words().data(),
-                              g.adjacency_row(t).data(), wpr);
-    }
-  }
-  if (!dense) {
-    for (NodeId t : sample) {
-      for (NodeId w : g.neighbors(t)) {
-        if (once.test(w))
-          twice.set(w);
-        else
-          once.set(w);
-      }
-    }
-  }
-
-  const std::span<const std::uint64_t> once_w = once.words();
-  const std::span<const std::uint64_t> twice_w = twice.words();
-  const std::span<const std::uint64_t> informed_w =
-      session.informed_set().words();
-  const std::span<const std::uint64_t> member_w = member.words();
-  std::size_t newly = 0;
-  for (std::size_t i = 0; i < once_w.size(); ++i)
-    newly += static_cast<std::size_t>(std::popcount(
-        once_w[i] & ~twice_w[i] & ~informed_w[i] & ~member_w[i]));
-  return newly;
-}
 
 inline std::vector<NodeId> sample_subset(std::span<const NodeId> candidates,
                                          double rate, Rng& rng) {
@@ -396,8 +331,7 @@ CentralizedResult build_centralized_schedule(
            ++attempt) {
         std::vector<NodeId> sample =
             centralized_detail::sample_subset(candidates, rate, rng);
-        const std::size_t gain =
-            centralized_detail::preview_new_informed(g, session, sample);
+        const std::size_t gain = session.preview_new_informed(sample);
         if (gain > best_gain || best.empty()) {
           best_gain = gain;
           best = std::move(sample);

@@ -10,9 +10,8 @@ GossipSession::GossipSession(const Graph& g)
     : graph_(&g),
       counts_(g.num_nodes(), 1),
       total_(g.num_nodes()),
-      hits_(g.num_nodes(), 0),
-      unique_sender_(g.num_nodes(), kInvalidNode),
-      transmitting_(g.num_nodes()) {
+      fold_(g.num_nodes()),
+      writers_(g.num_nodes(), kInvalidNode) {
   knowledge_.reserve(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     knowledge_.emplace_back(g.num_nodes());
@@ -32,83 +31,28 @@ const GossipRoundStats& GossipSession::step(
   stats.round = static_cast<std::uint32_t>(history_.size() + 1);
   stats.transmitters = static_cast<std::uint32_t>(transmitters.size());
 
-  for (NodeId t : transmitters) {
-    RADIO_EXPECTS(t < graph_->num_nodes());
-    RADIO_EXPECTS(!transmitting_.test(t));
-    transmitting_.set(t);
-  }
-
   // Senders are transmitters and transmitters never receive, so knowledge
-  // merges within a round are order-independent: both sweeps produce
-  // identical stats and post-round knowledge.
-  if (dense_round_pays(graph_->num_nodes(), transmitters.size(),
-                       sum_transmitter_degrees(*graph_, transmitters)))
-    sweep_dense(transmitters, stats);
-  else
-    sweep_sparse(transmitters, stats);
-
-  for (NodeId t : transmitters) transmitting_.reset(t);
+  // merges within a round are order-independent.
+  fold_.mark_transmitters(transmitters);
+  fold_.fold(*graph_, transmitters, writers_);
+  fold_.read_out([&](std::size_t base, std::uint64_t collided,
+                     std::uint64_t unique) {
+    stats.collisions += static_cast<std::uint32_t>(std::popcount(collided));
+    stats.receivers += static_cast<std::uint32_t>(std::popcount(unique));
+    for_each_set_bit(unique, base, [&](std::size_t bit) {
+      const auto w = static_cast<NodeId>(bit);
+      const NodeId sender = fold_.sender(*graph_, w, writers_);
+      const std::size_t gained = knowledge_[w].set_union(knowledge_[sender]);
+      counts_[w] += gained;
+      total_ += gained;
+      stats.rumors_moved += gained;
+    });
+  });
+  fold_.clear_transmitters(transmitters);
 
   stats.knowledge_total = total_;
   history_.push_back(stats);
   return history_.back();
-}
-
-void GossipSession::receive_from(NodeId w, NodeId sender,
-                                 GossipRoundStats& stats) {
-  ++stats.receivers;
-  const std::size_t gained = knowledge_[w].set_union(knowledge_[sender]);
-  counts_[w] += gained;
-  total_ += gained;
-  stats.rumors_moved += gained;
-}
-
-void GossipSession::sweep_sparse(std::span<const NodeId> transmitters,
-                                 GossipRoundStats& stats) {
-  for (NodeId t : transmitters) {
-    for (NodeId w : graph_->neighbors(t)) {
-      if (hits_[w] == 0) {
-        hits_[w] = 1;
-        unique_sender_[w] = t;
-        touched_.push_back(w);
-      } else if (hits_[w] == 1) {
-        hits_[w] = 2;
-      }
-    }
-  }
-
-  for (NodeId w : touched_) {
-    if (transmitting_.test(w)) continue;
-    if (hits_[w] >= 2) {
-      ++stats.collisions;
-      continue;
-    }
-    receive_from(w, unique_sender_[w], stats);
-  }
-
-  for (NodeId w : touched_) {
-    hits_[w] = 0;
-    unique_sender_[w] = kInvalidNode;
-  }
-  touched_.clear();
-}
-
-void GossipSession::sweep_dense(std::span<const NodeId> transmitters,
-                                GossipRoundStats& stats) {
-  dense_.accumulate(*graph_, transmitters);
-  const std::span<const std::uint64_t> once = dense_.once_words();
-  const std::span<const std::uint64_t> twice = dense_.twice_words();
-  const std::span<const std::uint64_t> tx = transmitting_.words();
-  for (std::size_t wi = 0; wi < once.size(); ++wi) {
-    stats.collisions +=
-        static_cast<std::uint32_t>(std::popcount(andnot(twice[wi], tx[wi])));
-    const std::uint64_t unique = andnot(andnot(once[wi], twice[wi]), tx[wi]);
-    for_each_set_bit(unique, wi * 64, [&](std::size_t bit) {
-      const auto w = static_cast<NodeId>(bit);
-      receive_from(w, unique_transmitting_neighbor(*graph_, transmitting_, w),
-                   stats);
-    });
-  }
 }
 
 }  // namespace radio

@@ -67,25 +67,15 @@ class GossipSession {
   }
 
  private:
-  void sweep_sparse(std::span<const NodeId> transmitters,
-                    GossipRoundStats& stats);
-  void sweep_dense(std::span<const NodeId> transmitters,
-                   GossipRoundStats& stats);
-  void receive_from(NodeId w, NodeId sender, GossipRoundStats& stats);
-
   const Graph* graph_;
   std::vector<Bitset> knowledge_;     ///< per node: rumor set
   std::vector<std::size_t> counts_;   ///< per node: |rumor set|
   std::uint64_t total_ = 0;
   std::vector<GossipRoundStats> history_;
-  // Channel scratch (same trick as RadioEngine: reset via touched list), plus
-  // the shared word-parallel kernel for dense rounds. Both sweeps are exact;
-  // the cost model in sim/channel_kernel.hpp picks per round.
-  std::vector<std::uint8_t> hits_;
-  std::vector<NodeId> unique_sender_;
-  Bitset transmitting_;
-  std::vector<NodeId> touched_;
-  DenseRoundAccumulator dense_;
+  // The shared round fold (sim/channel_kernel.hpp); its cost model picks
+  // the list or bitmap-row fold per round, and both are exact.
+  RoundFold fold_;
+  std::vector<NodeId> writers_;  ///< fold_lists' last writer per node
 };
 
 }  // namespace radio

@@ -1,32 +1,48 @@
-// Word-parallel dense-round channel kernel, shared by RadioEngine,
-// GossipSession and the centralized builder's round preview.
+// The round fold: the one implementation of the paper's reception rule
+// (§1.1: a listener receives iff exactly one neighbor transmits), shared by
+// RadioEngine, GossipSession, the centralized builder's LightSession and its
+// round preview.
 //
-// The sparse sweep costs O(Σ deg(t)) neighbor touches per round, which
-// degenerates to O(n²) when d = pn is large — exactly the paper's dense
-// regime (§3.1, E8). The kernel instead works on ⌈n/64⌉-word adjacency
-// bitmap rows (Graph::adjacency_row): per transmitter t it folds row(t) into
-// two accumulator bitmaps with the saturating 2-bit counter update
+// A round folds every transmitter's neighborhood into two accumulator
+// bitmaps with the saturating 2-bit counter update
 //
-//     seen_twice |= seen_once & row(t);   seen_once |= row(t);
+//     twice |= once & hit;   once |= hit
 //
-// after which, for any listener w,
-//     seen_twice[w]                 ⇔ ≥ 2 transmitting neighbors (collision)
-//     seen_once[w] & ~seen_twice[w] ⇔ exactly 1 transmitting neighbor.
-// Unique senders are recovered per exactly-one listener by scanning
-// row(w) & transmitting — rare in the dense regime, where nearly every
-// listener collides.
+// after which, for any listener w (not transmitting),
+//     twice[w]               ⇔ ≥ 2 transmitting neighbors (collision)
+//     once[w] & ~twice[w]    ⇔ exactly 1 transmitting neighbor.
 //
-// Cost model (dense_round_pays): the sparse sweep touches Σ deg(t) adjacency
-// entries with random 1-byte writes; the kernel moves (|T| + c)·⌈n/64⌉
-// sequential words. Both paths are exact — identical Outcomes, delivered
-// sets and observations — so the choice is purely a performance decision and
-// determinism is preserved regardless of which path runs.
+// Two folds fill the same accumulators:
+//
+//   * fold_lists — per transmitter t, per neighbor w in t's adjacency list,
+//     the update above on w's word without a branch, plus one bit per
+//     touched word in a dirty index. It can also record t as w's last
+//     writer: an exactly-once listener has only one writer, so that writer
+//     is its unique sender. O(Σ deg(t)) touches, on any GraphBackend.
+//   * fold_rows — per transmitter, the update over its whole ⌈n/64⌉-word
+//     adjacency bitmap row (Graph::adjacency_row); every word is dirty.
+//     Unique senders are recovered per exactly-once listener by scanning
+//     row(w) & transmitting — rare in the dense regime, where nearly every
+//     listener collides.
+//
+// read_out() then walks the dirty words in ascending order, hands each
+// consumer the word's collided and unique-listener masks, and clears the
+// scratch behind it: no per-round sort, no O(n) scan on sparse rounds.
+//
+// Cost model (dense_round_pays): fold_lists does Σ deg(t) touches of a few
+// random word writes each; fold_rows moves (|T| + c)·⌈n/64⌉ sequential
+// words. Both folds are exact — identical masks, hence identical Outcomes,
+// delivered sets and observations — so the choice is purely a performance
+// decision and determinism is preserved regardless of which fold runs.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 
+#include "graph/backend.hpp"
 #include "graph/graph.hpp"
+#include "util/assert.hpp"
 #include "util/bitset.hpp"
 
 namespace radio {
@@ -60,30 +76,105 @@ inline bool dense_round_pays(NodeId n, std::size_t num_tx,
   return sum_deg > 2 * (static_cast<EdgeCount>(num_tx) + 4) * wpr;
 }
 
-/// The seen_once / seen_twice accumulator pair. Scratch is reused across
-/// rounds; accumulate() clears it first, so a round costs
-/// (|T| + O(1))·⌈n/64⌉ words with no per-round allocation after warm-up.
-class DenseRoundAccumulator {
+/// The once/twice accumulators, the dirty-word index and the transmitter
+/// bitmap of one round. Scratch is sized once and cleared by read_out(), so
+/// a round allocates nothing.
+class RoundFold {
  public:
-  /// Folds every transmitter's adjacency row into the accumulators
-  /// (building the graph's bitmap cache on first use).
-  void accumulate(const Graph& g, std::span<const NodeId> transmitters);
+  explicit RoundFold(NodeId n);
 
-  std::span<const std::uint64_t> once_words() const noexcept {
-    return seen_once_.words();
+  /// Sets the round's transmitter bits (bounds- and duplicate-checked), so
+  /// read_out() excludes transmitters from the listeners. Consumers whose
+  /// transmitters are all informed may skip this and mask with ~informed.
+  void mark_transmitters(std::span<const NodeId> transmitters);
+  void clear_transmitters(std::span<const NodeId> transmitters) noexcept;
+
+  /// Folds the round over adjacency lists. With `writers` non-empty (one
+  /// slot per node), each touch also records t as w's last writer.
+  template <GraphBackend G>
+  void fold_lists(const G& g, std::span<const NodeId> transmitters,
+                  std::span<NodeId> writers = {}) {
+    RADIO_EXPECTS(writers.empty() || writers.size() == once_.size());
+    rows_ = false;
+    if (writers.empty())
+      fold_lists_impl<false>(g, transmitters, writers);
+    else
+      fold_lists_impl<true>(g, transmitters, writers);
   }
-  std::span<const std::uint64_t> twice_words() const noexcept {
-    return seen_twice_.words();
+
+  /// Folds the round over Graph's adjacency bitmap rows (building the
+  /// graph's bitmap cache on first use).
+  void fold_rows(const Graph& g, std::span<const NodeId> transmitters);
+
+  /// fold_rows when the backend has a bitmap and dense_round_pays, else
+  /// fold_lists. Returns the path taken.
+  template <GraphBackend G>
+  RoundPath fold(const G& g, std::span<const NodeId> transmitters,
+                 std::span<NodeId> writers = {}) {
+    if constexpr (requires { g.adjacency_row(NodeId{0}); }) {
+      if (dense_round_pays(g.num_nodes(), transmitters.size(),
+                           sum_transmitter_degrees(g, transmitters))) {
+        fold_rows(g, transmitters);
+        return RoundPath::kDense;
+      }
+    }
+    fold_lists(g, transmitters, writers);
+    return RoundPath::kSparse;
+  }
+
+  /// The unique transmitting neighbor of exactly-once listener w in the
+  /// last fold: its recorded writer after fold_lists (which must have been
+  /// given `writers`), a row scan after fold_rows.
+  NodeId sender(const Graph& g, NodeId w,
+                std::span<const NodeId> writers) const noexcept;
+
+  /// Calls fn(base, collided, unique) for every dirty word in ascending
+  /// order, where bit i of each mask is listener base + i: `collided` heard
+  /// ≥ 2 transmitters, `unique` exactly one. Clears the accumulators.
+  template <class Fn>
+  void read_out(Fn&& fn) {
+    std::uint64_t* once = once_.words().data();
+    std::uint64_t* twice = twice_.words().data();
+    const std::uint64_t* tx = tx_.words().data();
+    const std::span<std::uint64_t> dirty = dirty_.words();
+    for (std::size_t di = 0; di < dirty.size(); ++di) {
+      const std::uint64_t touched = dirty[di];
+      dirty[di] = 0;
+      for_each_set_bit(touched, di * 64, [&](std::size_t wi) {
+        const std::uint64_t listening = ~tx[wi];
+        fn(wi * 64, twice[wi] & listening,
+           andnot(once[wi], twice[wi]) & listening);
+        once[wi] = 0;
+        twice[wi] = 0;
+      });
+    }
   }
 
  private:
-  Bitset seen_once_;
-  Bitset seen_twice_;
-};
+  template <bool kRecordWriters, GraphBackend G>
+  void fold_lists_impl(const G& g, std::span<const NodeId> transmitters,
+                       std::span<NodeId> writers) {
+    RADIO_EXPECTS(g.num_nodes() == once_.size());
+    std::uint64_t* once = once_.words().data();
+    std::uint64_t* twice = twice_.words().data();
+    std::uint64_t* dirty = dirty_.words().data();
+    for (NodeId t : transmitters) {
+      for (NodeId w : g.neighbors(t)) {
+        const std::size_t wi = w >> 6;
+        const std::uint64_t bit = std::uint64_t{1} << (w & 63);
+        twice[wi] |= once[wi] & bit;
+        once[wi] |= bit;
+        dirty[wi >> 6] |= std::uint64_t{1} << (wi & 63);
+        if constexpr (kRecordWriters) writers[w] = t;
+      }
+    }
+  }
 
-/// Recovers the single transmitting neighbor of an exactly-one-hit listener
-/// by scanning row(w) & transmitting word by word.
-NodeId unique_transmitting_neighbor(const Graph& g, const Bitset& transmitting,
-                                    NodeId w) noexcept;
+  Bitset once_;
+  Bitset twice_;
+  Bitset dirty_;  ///< one bit per word of once_/twice_ that may be nonzero
+  Bitset tx_;
+  bool rows_ = false;  ///< last fold was fold_rows
+};
 
 }  // namespace radio

@@ -1,6 +1,5 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
 #include <bit>
 
 #include "util/assert.hpp"
@@ -8,10 +7,7 @@
 namespace radio {
 
 RadioEngine::RadioEngine(const Graph& g)
-    : graph_(&g),
-      hits_(g.num_nodes(), 0),
-      unique_sender_(g.num_nodes(), kInvalidNode),
-      transmitting_(g.num_nodes()) {}
+    : graph_(&g), fold_(g.num_nodes()), writers_(g.num_nodes(), kInvalidNode) {}
 
 void RadioEngine::record_observations(bool enabled) {
   record_observations_ = enabled;
@@ -31,116 +27,59 @@ RadioEngine::Outcome RadioEngine::step(std::span<const NodeId> transmitters,
     observed_.clear();
   }
 
-  for (NodeId t : transmitters) {
-    RADIO_EXPECTS(t < graph_->num_nodes());
-    RADIO_EXPECTS(!transmitting_.test(t));  // duplicates are caller bugs
-    transmitting_.set(t);
+  fold_.mark_transmitters(transmitters);
+  bool all_informed = true;
+  for (NodeId t : transmitters) all_informed &= informed.test(t);
+
+  switch (path_mode_) {
+    case PathMode::kAuto:
+      last_path_ = fold_.fold(*graph_, transmitters, writers_);
+      break;
+    case PathMode::kForceSparse:
+      fold_.fold_lists(*graph_, transmitters, writers_);
+      last_path_ = RoundPath::kSparse;
+      break;
+    case PathMode::kForceDense:
+      fold_.fold_rows(*graph_, transmitters);
+      last_path_ = RoundPath::kDense;
+      break;
   }
 
-  const bool dense =
-      path_mode_ == PathMode::kForceDense ||
-      (path_mode_ == PathMode::kAuto &&
-       dense_round_pays(graph_->num_nodes(), transmitters.size(),
-                        sum_transmitter_degrees(*graph_, transmitters)));
-  last_path_ = dense ? RoundPath::kDense : RoundPath::kSparse;
-
-  const Outcome outcome = dense ? step_dense(transmitters, informed, delivered)
-                                : step_sparse(transmitters, informed, delivered);
+  Outcome outcome;
+  const std::span<const std::uint64_t> known = informed.words();
+  fold_.read_out([&](std::size_t base, std::uint64_t collided,
+                     std::uint64_t unique) {
+    outcome.collisions += static_cast<std::uint32_t>(std::popcount(collided));
+    if (record_observations_) {
+      for_each_set_bit(collided, base, [&](std::size_t w) {
+        observe(static_cast<NodeId>(w), ChannelObservation::kCollision);
+      });
+      for_each_set_bit(unique, base, [&](std::size_t w) {
+        observe(static_cast<NodeId>(w), ChannelObservation::kMessage);
+      });
+    }
+    // A reception carries the message only if its sender holds it; an
+    // uninformed transmitter still jams (or is heard as noise).
+    std::uint64_t carried = unique;
+    if (!all_informed)
+      for_each_set_bit(unique, base, [&](std::size_t w) {
+        const NodeId sender =
+            fold_.sender(*graph_, static_cast<NodeId>(w), writers_);
+        if (!informed.test(sender))
+          carried &= ~(std::uint64_t{1} << (w - base));
+      });
+    const std::uint64_t already = known[base / 64];
+    outcome.redundant +=
+        static_cast<std::uint32_t>(std::popcount(carried & already));
+    for_each_set_bit(andnot(carried, already), base, [&](std::size_t w) {
+      delivered.push_back(static_cast<NodeId>(w));
+    });
+  });
 
   if (record_observations_)
     for (NodeId t : transmitters) observe(t, ChannelObservation::kTransmitting);
 
-  for (NodeId t : transmitters) transmitting_.reset(t);
-  return outcome;
-}
-
-RadioEngine::Outcome RadioEngine::step_sparse(
-    std::span<const NodeId> transmitters, const Bitset& informed,
-    std::vector<NodeId>& delivered) {
-  Outcome outcome;
-  const std::size_t delivered_base = delivered.size();
-
-  for (NodeId t : transmitters) {
-    for (NodeId w : graph_->neighbors(t)) {
-      if (hits_[w] == 0) {
-        hits_[w] = 1;
-        unique_sender_[w] = t;
-        touched_.push_back(w);
-      } else if (hits_[w] == 1) {
-        hits_[w] = 2;  // saturate: >= 2 means collision regardless of count
-      }
-    }
-  }
-
-  for (NodeId w : touched_) {
-    if (transmitting_.test(w)) continue;  // transmitters never receive
-    if (hits_[w] >= 2) {
-      ++outcome.collisions;
-      if (record_observations_) observe(w, ChannelObservation::kCollision);
-    } else {
-      // Exactly one transmitting neighbor: reception succeeds. The message
-      // is delivered only if that neighbor holds it.
-      const NodeId sender = unique_sender_[w];
-      if (record_observations_) observe(w, ChannelObservation::kMessage);
-      if (informed.test(sender)) {
-        if (informed.test(w)) {
-          ++outcome.redundant;
-        } else {
-          delivered.push_back(w);
-        }
-      }
-    }
-  }
-
-  // Reset scratch via the touched lists (never O(n)).
-  for (NodeId w : touched_) {
-    hits_[w] = 0;
-    unique_sender_[w] = kInvalidNode;
-  }
-  touched_.clear();
-
-  // The dense path emits deliveries in ascending id order by construction;
-  // normalize here too so path choice can never leak into downstream state
-  // (e.g. the loss fault model draws per delivery, in order).
-  std::sort(delivered.begin() + static_cast<std::ptrdiff_t>(delivered_base),
-            delivered.end());
-  return outcome;
-}
-
-RadioEngine::Outcome RadioEngine::step_dense(
-    std::span<const NodeId> transmitters, const Bitset& informed,
-    std::vector<NodeId>& delivered) {
-  Outcome outcome;
-  dense_.accumulate(*graph_, transmitters);
-
-  const std::span<const std::uint64_t> once = dense_.once_words();
-  const std::span<const std::uint64_t> twice = dense_.twice_words();
-  const std::span<const std::uint64_t> tx = transmitting_.words();
-
-  for (std::size_t wi = 0; wi < once.size(); ++wi) {
-    const std::uint64_t listeners_colliding = andnot(twice[wi], tx[wi]);
-    const std::uint64_t listeners_unique =
-        andnot(andnot(once[wi], twice[wi]), tx[wi]);
-    outcome.collisions +=
-        static_cast<std::uint32_t>(std::popcount(listeners_colliding));
-    if (record_observations_)
-      for_each_set_bit(listeners_colliding, wi * 64, [&](std::size_t w) {
-        observe(static_cast<NodeId>(w), ChannelObservation::kCollision);
-      });
-    for_each_set_bit(listeners_unique, wi * 64, [&](std::size_t bit) {
-      const auto w = static_cast<NodeId>(bit);
-      if (record_observations_) observe(w, ChannelObservation::kMessage);
-      const NodeId sender =
-          unique_transmitting_neighbor(*graph_, transmitting_, w);
-      if (informed.test(sender)) {
-        if (informed.test(w)) {
-          ++outcome.redundant;
-        } else {
-          delivered.push_back(w);  // ascending by construction of the sweep
-        }
-      }
-    });
-  }
+  fold_.clear_transmitters(transmitters);
   return outcome;
 }
 

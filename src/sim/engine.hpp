@@ -8,23 +8,27 @@
 // transmitters still jam the channel (needed verbatim by Theorem 6's relaxed
 // adversary, which lets arbitrary sets transmit).
 //
-// Execution paths. The engine owns two exact implementations of the round:
+// Execution paths. Every round runs through the one round fold in
+// sim/channel_kernel.hpp and one classification over its dirty words; only
+// the fold that fills the accumulators differs:
 //
-//   * SPARSE — per-transmitter adjacency-list sweep over scratch arrays
-//     sized to the graph: O(Σ deg(t) over transmitters t) with no per-round
-//     allocation. Optimal when transmitter neighborhoods are small.
-//   * DENSE — the word-parallel bitmap kernel (sim/channel_kernel.hpp):
-//     (|T| + O(1))·⌈n/64⌉ 64-bit word operations per round against the
-//     graph's lazily built adjacency bitmap. Optimal in the dense regime
-//     (§3.1 / E8), where Σ deg(t) approaches |T|·n.
+//   * SPARSE — fold_lists: per-transmitter adjacency-list touches,
+//     O(Σ deg(t) over transmitters t), with each listener's last writer
+//     recorded as its unique sender. Optimal when transmitter neighborhoods
+//     are small.
+//   * DENSE — fold_rows: (|T| + O(1))·⌈n/64⌉ 64-bit word operations per
+//     round against the graph's lazily built adjacency bitmap. Optimal in
+//     the dense regime (§3.1 / E8), where Σ deg(t) approaches |T|·n.
 //
-// A per-round cost model (dense_round_pays) picks the cheaper path; tests
+// A per-round cost model (dense_round_pays) picks the cheaper fold; tests
 // and benches can pin one with force_path(). DETERMINISM CONTRACT: both
-// paths produce bit-identical Outcome counters, identical delivered sets
-// (appended in ascending node id order) and identical observation buffers,
-// so path choice — like thread count — can never change simulation results;
-// same seed ⇒ same results. The differential property suite
-// (tests/property/test_dense_kernel.cpp) enforces this.
+// folds produce the same accumulators and the classification walks them in
+// ascending word order, so Outcome counters, delivered sets (appended in
+// ascending node id order) and observation buffers are identical and path
+// choice — like thread count — can never change simulation results; same
+// seed ⇒ same results. The oracle suite (tests/property/
+// test_engine_reference.cpp) checks both paths against a listener-side
+// transcription of §1.1.
 #pragma once
 
 #include <span>
@@ -92,22 +96,14 @@ class RadioEngine {
  private:
   enum class PathMode : std::uint8_t { kAuto, kForceSparse, kForceDense };
 
-  Outcome step_sparse(std::span<const NodeId> transmitters,
-                      const Bitset& informed, std::vector<NodeId>& delivered);
-  Outcome step_dense(std::span<const NodeId> transmitters,
-                     const Bitset& informed, std::vector<NodeId>& delivered);
-
   void observe(NodeId v, ChannelObservation what) {
     observations_[v] = what;
     observed_.push_back(v);
   }
 
   const Graph* graph_;
-  std::vector<std::uint8_t> hits_;     ///< per node: 0, 1, or 2 (saturating)
-  std::vector<NodeId> unique_sender_;  ///< valid when hits_ == 1
-  Bitset transmitting_;
-  std::vector<NodeId> touched_;        ///< nodes whose scratch needs reset
-  DenseRoundAccumulator dense_;        ///< dense-path accumulators (lazy)
+  RoundFold fold_;
+  std::vector<NodeId> writers_;  ///< fold_lists' last writer per node
   PathMode path_mode_ = PathMode::kAuto;
   RoundPath last_path_ = RoundPath::kSparse;
   bool record_observations_ = false;

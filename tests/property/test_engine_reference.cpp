@@ -1,12 +1,23 @@
-// Property test: the optimized radio engine is equivalent to an obviously
-// correct quadratic reference implementation, across random graphs, random
-// informed sets and random transmitter sets.
+// Oracle suite for the round fold (sim/channel_kernel.hpp): every consumer of
+// the fold — RadioEngine on both forced paths and on the cost model,
+// LightSession::step, LightSession::preview_new_informed and GossipSession —
+// must agree with an obviously correct listener-side transcription of §1.1
+// across random graphs, informed sets and transmitter sets. Sizes include
+// n > 4096 (more than one dirty-index word) and n % 64 != 0; engine
+// transmitter sets include uninformed nodes, which jam without delivering.
+// Deliveries are compared unsorted: the engine must append them in ascending
+// id order, which the loss fault model's per-delivery draws depend on.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <tuple>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <type_traits>
 #include <vector>
 
+#include "core/centralized.hpp"
+#include "gossip/gossip_session.hpp"
+#include "graph/implicit_gnp.hpp"
 #include "graph/random_graph.hpp"
 #include "sim/engine.hpp"
 
@@ -14,21 +25,30 @@ namespace radio {
 namespace {
 
 struct ReferenceOutcome {
-  std::vector<NodeId> delivered;
+  std::vector<NodeId> delivered;  ///< ascending
   std::uint32_t collisions = 0;
   std::uint32_t redundant = 0;
+  std::vector<ChannelObservation> observations;  ///< one per node
+  std::vector<NodeId> sender;  ///< unique transmitting neighbor, or invalid
 };
 
 /// Straight transcription of §1.1: for every node, count transmitting
 /// neighbors directly.
-ReferenceOutcome reference_step(const Graph& g,
-                                const std::vector<NodeId>& transmitters,
+template <GraphBackend G>
+ReferenceOutcome reference_step(const G& g,
+                                std::span<const NodeId> transmitters,
                                 const Bitset& informed) {
+  const NodeId n = g.num_nodes();
   ReferenceOutcome out;
-  Bitset is_tx(g.num_nodes());
+  out.observations.assign(n, ChannelObservation::kSilence);
+  out.sender.assign(n, kInvalidNode);
+  Bitset is_tx(n);
   for (NodeId t : transmitters) is_tx.set(t);
-  for (NodeId w = 0; w < g.num_nodes(); ++w) {
-    if (is_tx.test(w)) continue;  // transmitting, not listening
+  for (NodeId w = 0; w < n; ++w) {
+    if (is_tx.test(w)) {  // transmitting, not listening
+      out.observations[w] = ChannelObservation::kTransmitting;
+      continue;
+    }
     std::uint32_t hits = 0;
     NodeId sender = kInvalidNode;
     for (NodeId v : g.neighbors(w)) {
@@ -39,13 +59,27 @@ ReferenceOutcome reference_step(const Graph& g,
     }
     if (hits >= 2) {
       ++out.collisions;
-    } else if (hits == 1 && informed.test(sender)) {
-      if (informed.test(w))
-        ++out.redundant;
-      else
-        out.delivered.push_back(w);
+      out.observations[w] = ChannelObservation::kCollision;
+    } else if (hits == 1) {
+      out.observations[w] = ChannelObservation::kMessage;
+      out.sender[w] = sender;
+      if (informed.test(sender)) {
+        if (informed.test(w))
+          ++out.redundant;
+        else
+          out.delivered.push_back(w);
+      }
     }
   }
+  return out;
+}
+
+/// Each node of `pool` independently with probability `fraction`.
+std::vector<NodeId> sample_nodes(std::span<const NodeId> pool, double fraction,
+                                 Rng& rng) {
+  std::vector<NodeId> out;
+  for (NodeId v : pool)
+    if (rng.bernoulli(fraction)) out.push_back(v);
   return out;
 }
 
@@ -63,7 +97,13 @@ TEST_P(EngineEquivalence, MatchesReferenceOnRandomRounds) {
   Rng rng(static_cast<std::uint64_t>(s.n) * 31 +
           static_cast<std::uint64_t>(s.p * 1000));
   const Graph g = generate_gnp({s.n, s.p}, rng);
-  RadioEngine engine(g);
+  RadioEngine automatic(g);
+  RadioEngine sparse(g);
+  RadioEngine dense(g);
+  sparse.force_path(RoundPath::kSparse);
+  dense.force_path(RoundPath::kDense);
+  for (RadioEngine* engine : {&automatic, &sparse, &dense})
+    engine->record_observations(true);
 
   for (int round = 0; round < 12; ++round) {
     Bitset informed(g.num_nodes());
@@ -72,16 +112,24 @@ TEST_P(EngineEquivalence, MatchesReferenceOnRandomRounds) {
       if (rng.bernoulli(s.informed_fraction)) informed.set(v);
       if (rng.bernoulli(s.tx_fraction)) transmitters.push_back(v);
     }
+    const ReferenceOutcome ref = reference_step(g, transmitters, informed);
 
-    std::vector<NodeId> delivered;
-    const RadioEngine::Outcome fast = engine.step(transmitters, informed, delivered);
-    ReferenceOutcome ref = reference_step(g, transmitters, informed);
-
-    std::sort(delivered.begin(), delivered.end());
-    std::sort(ref.delivered.begin(), ref.delivered.end());
-    EXPECT_EQ(delivered, ref.delivered);
-    EXPECT_EQ(fast.collisions, ref.collisions);
-    EXPECT_EQ(fast.redundant, ref.redundant);
+    for (RadioEngine* engine : {&automatic, &sparse, &dense}) {
+      std::vector<NodeId> delivered;
+      const RadioEngine::Outcome fast =
+          engine->step(transmitters, informed, delivered);
+      const std::string path =
+          engine->last_path() == RoundPath::kDense ? "dense" : "sparse";
+      EXPECT_EQ(delivered, ref.delivered) << path << " round " << round;
+      EXPECT_EQ(fast.collisions, ref.collisions) << path << " round " << round;
+      EXPECT_EQ(fast.redundant, ref.redundant) << path << " round " << round;
+      const std::span<const ChannelObservation> obs =
+          engine->last_observations();
+      ASSERT_EQ(obs.size(), ref.observations.size());
+      for (NodeId v = 0; v < g.num_nodes(); ++v)
+        ASSERT_EQ(obs[v], ref.observations[v])
+            << path << " round " << round << " node " << v;
+    }
   }
 }
 
@@ -90,11 +138,129 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Scenario{30, 0.2, 0.5, 0.3}, Scenario{100, 0.05, 0.2, 0.1},
                       Scenario{100, 0.05, 0.9, 0.9}, Scenario{250, 0.02, 0.5, 0.02},
                       Scenario{250, 0.3, 0.1, 0.5}, Scenario{60, 0.9, 0.5, 0.5},
-                      Scenario{40, 0.1, 0.0, 0.4}, Scenario{40, 0.1, 1.0, 0.05}),
+                      Scenario{40, 0.1, 0.0, 0.4}, Scenario{40, 0.1, 1.0, 0.05},
+                      // More than one dirty-index word, n % 64 != 0.
+                      Scenario{4133, 0.002, 0.5, 0.05},
+                      Scenario{4133, 0.05, 0.3, 0.2},
+                      Scenario{8257, 0.001, 0.9, 0.3}),
     [](const ::testing::TestParamInfo<Scenario>& pinfo) {
       return "n" + std::to_string(pinfo.param.n) + "_case" +
              std::to_string(pinfo.index);
     });
+
+/// Drives a LightSession from `source` with random informed transmitter
+/// sets; before each step, previews a second random informed sample. Both
+/// must match the reference round, and the preview must leave the session
+/// untouched. Returns how many rounds the cost model would run dense.
+template <GraphBackend G>
+int check_light_session(const G& g, NodeId source, double tx_fraction,
+                        int rounds, Rng& rng) {
+  LightSession<G> session(g, source);
+  int dense_rounds = 0;
+  for (int round = 0; round < rounds && !session.complete(); ++round) {
+    const Bitset before = session.informed_set();
+    const std::vector<NodeId> informed = session.informed_nodes();
+
+    const std::vector<NodeId> sample = sample_nodes(informed, tx_fraction, rng);
+    EXPECT_EQ(session.preview_new_informed(sample),
+              reference_step(g, sample, before).delivered.size())
+        << "preview, round " << round;
+    EXPECT_EQ(session.informed_set(), before) << "preview changed the session";
+
+    const std::vector<NodeId> transmitters =
+        sample_nodes(informed, tx_fraction, rng);
+    if constexpr (std::is_same_v<G, Graph>)
+      dense_rounds += dense_round_pays(g.num_nodes(), transmitters.size(),
+                                       sum_transmitter_degrees(g, transmitters));
+    const ReferenceOutcome ref = reference_step(g, transmitters, before);
+    session.step(transmitters);
+    Bitset expected = before;
+    for (NodeId w : ref.delivered) expected.set(w);
+    EXPECT_EQ(session.informed_set(), expected) << "step, round " << round;
+    EXPECT_EQ(session.last_newly(), ref.delivered.size()) << "round " << round;
+    EXPECT_EQ(session.informed_count(), expected.count());
+  }
+  return dense_rounds;
+}
+
+TEST(FoldOracle, LightSessionAndPreviewMatchReferenceOnGraph) {
+  int dense_rounds = 0;
+  const struct {
+    NodeId n;
+    double p;
+    double tx_fraction;
+  } cases[] = {{4133, 0.002, 0.5}, {4133, 0.3, 0.3}, {777, 0.6, 0.8}};
+  for (const auto& c : cases) {
+    Rng rng = Rng::for_stream(0xF01D, c.n * 7 + static_cast<NodeId>(c.p * 100));
+    const Graph g = generate_gnp({c.n, c.p}, rng);
+    dense_rounds += check_light_session(g, 0, c.tx_fraction, 10, rng);
+  }
+  EXPECT_GT(dense_rounds, 0) << "no case exercised the bitmap-row fold";
+}
+
+TEST(FoldOracle, LightSessionAndPreviewMatchReferenceOnImplicitGnp) {
+  Rng rng = Rng::for_stream(0xF01D, 1);
+  const ImplicitGnp g(4133, 0.002, 77);
+  check_light_session(g, 5, 0.5, 10, rng);
+}
+
+TEST(FoldOracle, GossipSessionMatchesReference) {
+  int rounds_by_path[2] = {0, 0};
+  const struct {
+    NodeId n;
+    double p;
+    double tx_fraction;
+  } cases[] = {{4133, 0.002, 0.1}, {4133, 0.3, 0.3}, {200, 0.6, 0.5}};
+  for (const auto& c : cases) {
+    Rng rng = Rng::for_stream(0x6055, c.n * 7 + static_cast<NodeId>(c.p * 100));
+    const Graph g = generate_gnp({c.n, c.p}, rng);
+    const NodeId n = g.num_nodes();
+    GossipSession session(g);
+    // The model: every node's rumor set, advanced by the reference round.
+    std::vector<Bitset> known(n, Bitset(n));
+    for (NodeId v = 0; v < n; ++v) known[v].set(v);
+    Bitset everyone(n);
+    for (NodeId v = 0; v < n; ++v) everyone.set(v);
+    std::vector<NodeId> all(n);
+    for (NodeId v = 0; v < n; ++v) all[v] = v;
+
+    for (int round = 0; round < 4; ++round) {
+      const std::vector<NodeId> transmitters =
+          sample_nodes(all, c.tx_fraction, rng);
+      ++rounds_by_path[dense_round_pays(
+          n, transmitters.size(), sum_transmitter_degrees(g, transmitters))];
+      // Every node holds its own rumor, so every unique reception carries.
+      const ReferenceOutcome ref = reference_step(g, transmitters, everyone);
+      const std::vector<Bitset> before = known;
+      std::uint32_t receivers = 0;
+      std::uint64_t moved = 0;
+      for (NodeId w = 0; w < n; ++w) {
+        if (ref.sender[w] == kInvalidNode) continue;
+        ++receivers;
+        moved += known[w].set_union(before[ref.sender[w]]);
+      }
+
+      const GossipRoundStats& stats = session.step(transmitters);
+      EXPECT_EQ(stats.receivers, receivers) << "round " << round;
+      EXPECT_EQ(stats.collisions, ref.collisions) << "round " << round;
+      EXPECT_EQ(stats.rumors_moved, moved) << "round " << round;
+      // Knowledge only grows, so equal counts plus model ⊆ session is
+      // equality.
+      for (NodeId v = 0; v < n; ++v) {
+        ASSERT_EQ(session.knowledge_count(v), known[v].count())
+            << "round " << round << " node " << v;
+        const std::span<const std::uint64_t> words = known[v].words();
+        for (std::size_t wi = 0; wi < words.size(); ++wi)
+          for_each_set_bit(words[wi], wi * 64, [&](std::size_t r) {
+            EXPECT_TRUE(session.knows(v, static_cast<NodeId>(r)))
+                << "round " << round << " node " << v << " rumor " << r;
+          });
+      }
+    }
+  }
+  EXPECT_GT(rounds_by_path[0], 0) << "no round took the adjacency-list fold";
+  EXPECT_GT(rounds_by_path[1], 0) << "no round took the bitmap-row fold";
+}
 
 }  // namespace
 }  // namespace radio
