@@ -196,9 +196,7 @@ run_sanitizer_stage() {
   env "$@" ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
     "${ctest_args[@]}"
   if [[ "$fuzz_mode" == "fuzz" ]]; then
-    # Fuzz harnesses under sanitizers: corpus replay + 10k mutated inputs.
-    env "$@" "$dir/tests/fuzz/fuzz_schedule_text" \
-      tests/fuzz/corpus/schedule --iters 10000
+    # Fuzz harness under sanitizers: corpus replay + 10k mutated inputs.
     env "$@" "$dir/tests/fuzz/fuzz_json" tests/fuzz/corpus/json --iters 10000
   fi
 }

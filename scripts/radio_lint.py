@@ -21,7 +21,9 @@ Rules (see docs/static-analysis.md for the catalogue with rationale):
                                   parallel` regions must use Rng::for_stream
   no-wallclock-in-sim             wall-clock reads outside bench/ and the
                                   bench_runner timing code
-  no-iostream-in-kernel           stream I/O / printf in hot kernel files
+  no-iostream-in-kernel           stream I/O / printf in hot kernel files;
+                                  on whole-tree runs, KERNEL_FILES entries
+                                  that name no file
   no-unordered-iteration-to-output
                                   ranged-for over unordered containers whose
                                   body writes to output sinks (tables, CSV,
@@ -129,18 +131,19 @@ WALLCLOCK_RE = re.compile(
     r"|\b(?:std\s*::\s*)?(time|clock|gettimeofday|clock_gettime|timespec_get)\s*\("
 )
 
-# no-iostream-in-kernel: files on the round-fold / BFS hot path.
+# no-iostream-in-kernel: files on the round-fold / BFS hot path. A whole-tree
+# run reports any entry that names no file (check_kernel_files_exist).
 KERNEL_FILES = (
     "src/sim/channel_kernel.cpp",
     "src/sim/channel_kernel.hpp",
     "src/sim/engine.cpp",
     "src/sim/engine.hpp",
+    "src/sim/light_session.hpp",
     "src/sim/batch/batch_engine.cpp",
     "src/sim/batch/batch_engine.hpp",
     "src/sim/batch/batch_scheduler.cpp",
     "src/sim/batch/batch_scheduler.hpp",
     "src/sim/stream/message_queue.hpp",
-    "src/sim/stream/stream_session.cpp",
     "src/sim/stream/stream_session.hpp",
     "src/sim/stream/streaming_protocol.cpp",
     "src/sim/stream/streaming_protocol.hpp",
@@ -531,6 +534,31 @@ def check_no_wallclock(sf: SourceFile) -> Iterable[Finding]:
                 "round-counted; real time belongs to the bench harness and "
                 "bench_runner provenance only",
             )
+
+
+def check_kernel_files_exist(
+        repo_root: str,
+        kernel_files: Iterable[str] = KERNEL_FILES) -> list[Finding]:
+    """Whole-tree half of no-iostream-in-kernel: an entry naming no file
+    guards nothing, so a deleted or renamed kernel file would silently drop
+    out of the rule. Reported at the entry's line in this script."""
+    script = os.path.abspath(__file__)
+    with open(script, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    rel = os.path.relpath(script, repo_root).replace(os.sep, "/")
+    findings = []
+    for path in kernel_files:
+        if os.path.isfile(os.path.join(repo_root, path)):
+            continue
+        line = next((i for i, text in enumerate(lines, start=1)
+                     if f'"{path}",' in text), 1)
+        findings.append(Finding(
+            rel, line, RULE_NO_IOSTREAM,
+            f"KERNEL_FILES entry '{path}' names no file in the tree — the "
+            "rule guards nothing there; drop the entry or point it at the "
+            "file's new path",
+        ))
+    return findings
 
 
 def check_no_iostream_in_kernel(sf: SourceFile) -> Iterable[Finding]:
@@ -1150,6 +1178,8 @@ def main(argv: list[str]) -> int:
         scan_rules = per_file_rules if path in files else ()
         findings.extend(scan_file(sources[path], scan_rules,
                                   extra=tree_findings.get(path, ())))
+    if RULE_NO_IOSTREAM in rules and not args.paths:
+        findings.extend(check_kernel_files_exist(repo_root))
 
     for f in findings:
         print(f.render())

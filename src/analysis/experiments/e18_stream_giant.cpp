@@ -1,19 +1,19 @@
 // E18 — queue stability over long horizons at giant n, streamed against the
 // on-demand ImplicitGnp backend (no materialized graph ever exists).
 //
-// This is the ROADMAP's "service under heavy traffic" experiment run at the
-// scale PR 7 unlocked: decay pipelined depth-2 over LightSession<ImplicitGnp>
-// (analysis/stream_workload.hpp), G(n, 3 ln n / n) — the connectivity-safe
-// density E2's giant mode uses — and horizons long enough that a queue
-// either visibly drains or visibly diverges. The queue-depth trajectory is
-// recorded per row so the manifest shows the SHAPE of (in)stability, not
-// just the verdict: a stable λ's trajectory plateaus, an unstable one's
-// climbs linearly at λ − μ.
+// This is the "service under heavy traffic" experiment run at the scale the
+// implicit backend unlocked: decay pipelined depth-2 in a
+// StreamSession<ImplicitGnp> (sim/stream), G(n, 3 ln n / n) — the
+// connectivity-safe density E2's giant mode uses — and horizons long enough
+// that a queue either visibly drains or visibly diverges. The queue-depth
+// trajectory is recorded per row so the manifest shows the SHAPE of
+// (in)stability, not just the verdict: a stable λ's trajectory plateaus, an
+// unstable one's climbs linearly at λ − μ.
 //
 // The driver always uses the implicit backend regardless of
 // --graph-backend: its reason to exist is the regime where that is the only
-// option. Collision counts are 0 on the light path (documented in
-// stream_workload.hpp); message accounting is exact either way.
+// option. The stream's per-message sessions do not count collisions;
+// message accounting is exact.
 #include <algorithm>
 #include <cmath>
 #include <string>
@@ -21,10 +21,11 @@
 
 #include "analysis/experiment_registry.hpp"
 #include "analysis/experiments.hpp"
-#include "analysis/stream_workload.hpp"
 #include "analysis/throughput.hpp"
 #include "analysis/trial_runner.hpp"
 #include "graph/implicit_gnp.hpp"
+#include "protocols/streaming_adapters.hpp"
+#include "sim/stream/stream_session.hpp"
 #include "util/stats.hpp"
 
 namespace radio {
@@ -89,7 +90,10 @@ ExperimentResult run_e18_stream_giant(const ExperimentConfig& config) {
           stream_config.seed = cell_seed;
           stream_config.stream = static_cast<std::uint64_t>(t);
           stream_config.trajectory_samples = 4;
-          return run_decay_stream(g, kPipelineDepth, stream_config);
+          const auto protocol = make_pipelined_decay(kPipelineDepth);
+          StreamSession session(g, ProtocolContext{n, p}, *protocol,
+                                stream_config);
+          return session.run();
         });
     std::vector<double> throughputs, growths;
     std::uint64_t delivered = 0, waiting_end = 0;

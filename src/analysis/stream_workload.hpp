@@ -1,32 +1,17 @@
-// Streaming-workload drivers shared by E16–E18.
+// Streaming-workload driver shared by E16 and E17.
 //
-// Two execution paths, one semantics:
-//
-//   * run_stream_trial — the full path: a fresh connected G(n,p) instance,
-//     a StreamingProtocol from the caller's factory, and a StreamSession
-//     over BroadcastSession/RadioEngine (exact collision counting). E16/E17
-//     run every (protocol, λ) cell through this.
-//   * run_decay_stream<G> — the giant-n light path: the same round loop over
-//     LightSession<G> (core/centralized.hpp) with the pipelined-decay
-//     selection inlined, templated over the GraphBackend concept so E18 can
-//     stream against the on-demand ImplicitGnp sampler at n where a
-//     materialized graph cannot exist. Per-node channel observations and
-//     collision counts are not tracked (collisions = 0 in the metrics);
-//     every OTHER field — arrivals, deliveries, latencies, queue depths —
-//     is byte-identical to the full path on the same materialized graph,
-//     because both paths consume the two session Rng streams in the same
-//     order (pinned by tests/analysis/test_stream_workload.cpp,
-//     LightMatchesFullPath).
+// run_stream_trial draws a fresh connected G(n,p) instance, builds a
+// StreamingProtocol from the caller's factory, and runs a StreamSession
+// (sim/stream/stream_session.hpp) on it. E18 runs its StreamSession on an
+// ImplicitGnp directly, since the point there is a graph that is never
+// materialized.
 #pragma once
 
-#include <cmath>
 #include <functional>
 #include <memory>
 
 #include "analysis/workload.hpp"
-#include "core/centralized.hpp"
 #include "sim/stream/stream_session.hpp"
-#include "util/bitset.hpp"
 
 namespace radio {
 
@@ -34,7 +19,7 @@ namespace radio {
 using StreamProtocolFactory =
     std::function<std::unique_ptr<StreamingProtocol>()>;
 
-/// One full-path streaming trial: draws a connected instance from `rng`,
+/// One streaming trial: draws a connected instance from `rng`,
 /// builds the protocol, and runs a StreamSession with
 /// StreamConfig{rate, horizon, seed, stream}.
 StreamMetrics run_stream_trial(const GnpParams& params,
@@ -43,108 +28,5 @@ StreamMetrics run_stream_trial(const GnpParams& params,
                                double rate, std::uint32_t horizon,
                                std::uint64_t seed, std::uint64_t stream,
                                Rng& rng);
-
-/// The light path: pipelined decay over LightSession<G>, mirroring
-/// StreamSession::run round for round (same arrival stream, same protocol
-/// draw sequence — decay's active list is rebuilt in ascending id order at
-/// each message-local phase start, exactly as DecayProtocol does).
-template <GraphBackend G>
-StreamMetrics run_decay_stream(const G& g, std::uint32_t depth,
-                               const StreamConfig& config) {
-  const NodeId n = g.num_nodes();
-  RADIO_EXPECTS(n >= 2);
-  RADIO_EXPECTS(depth >= 1);
-  RADIO_EXPECTS(config.rate >= 0.0);
-  RADIO_EXPECTS(config.horizon >= 1);
-  const auto phase_length = static_cast<std::uint32_t>(
-      std::max(1.0, std::ceil(std::log2(static_cast<double>(n)))));
-
-  struct Slot {
-    std::unique_ptr<LightSession<G>> session;
-    std::vector<NodeId> active;  ///< decay's surviving transmitters
-    std::uint64_t message_id = 0;
-    std::uint32_t local_round = 0;
-    bool running = false;
-  };
-  std::vector<Slot> slots(depth);
-
-  MessageQueue queue;
-  PoissonArrivals arrivals(
-      config.rate, n,
-      Rng::for_stream(config.seed, kArrivalStreamTag | config.stream));
-  Rng protocol_rng =
-      Rng::for_stream(config.seed, kProtocolStreamTag | config.stream);
-
-  StreamMetrics metrics;
-  metrics.rounds = config.horizon;
-  const std::uint32_t mid = config.horizon / 2;
-  const std::uint32_t stride = std::max<std::uint32_t>(
-      1,
-      config.horizon / std::max<std::uint32_t>(1, config.trajectory_samples));
-
-  std::vector<NodeId> origins;
-  std::vector<NodeId> transmitters;
-  for (std::uint32_t r = 1; r <= config.horizon; ++r) {
-    origins.clear();
-    arrivals.draw(origins);
-    for (const NodeId origin : origins) queue.enqueue(origin, r);
-
-    const std::uint32_t s = (r - 1) % depth;
-    Slot& slot = slots[s];
-    if (!slot.running && queue.has_waiting()) {
-      slot.message_id = queue.start_next(r);
-      slot.session = std::make_unique<LightSession<G>>(
-          g, queue.message(slot.message_id).origin);
-      slot.active.clear();
-      slot.local_round = 0;
-      slot.running = true;
-    }
-
-    if (slot.running) {
-      ++slot.local_round;
-      if ((slot.local_round - 1) % phase_length == 0) {
-        slot.active.clear();
-        const std::span<const std::uint64_t> words =
-            slot.session->informed_set().words();
-        for (std::size_t wi = 0; wi < words.size(); ++wi)
-          for_each_set_bit(words[wi], wi * 64, [&](std::size_t v) {
-            slot.active.push_back(static_cast<NodeId>(v));
-          });
-      }
-      transmitters.clear();
-      std::size_t kept = 0;
-      for (const NodeId v : slot.active) {
-        transmitters.push_back(v);
-        if (protocol_rng.bernoulli(0.5)) slot.active[kept++] = v;
-      }
-      slot.active.resize(kept);
-      slot.session->step(transmitters);
-      metrics.transmissions += transmitters.size();
-
-      if (slot.session->complete()) {
-        queue.mark_delivered(slot.message_id, r);
-        metrics.latencies.push_back(
-            r - queue.message(slot.message_id).arrival_round);
-        slot.session.reset();
-        slot.running = false;
-      }
-    }
-
-    metrics.max_waiting =
-        std::max<std::uint64_t>(metrics.max_waiting, queue.waiting());
-    if (r == mid) metrics.waiting_mid = queue.waiting();
-    if (r % stride == 0 || r == config.horizon)
-      metrics.trajectory.push_back(
-          QueueSample{r, queue.waiting(),
-                      static_cast<std::uint32_t>(queue.in_flight())});
-  }
-
-  metrics.enqueued = queue.total_enqueued();
-  metrics.delivered = queue.delivered();
-  metrics.waiting_at_horizon = queue.waiting();
-  metrics.in_flight_at_horizon = static_cast<std::uint32_t>(queue.in_flight());
-  RADIO_EXPECTS(queue.conserves());
-  return metrics;
-}
 
 }  // namespace radio

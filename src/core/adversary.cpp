@@ -29,7 +29,7 @@ void FixedSmallSetScheduleProtocol::select_transmitters(
   const SmallRoundSet& set = (*schedule_)[round - 1];
   for (std::uint8_t i = 0; i < set.size; ++i) {
     const NodeId v = set.node[i];
-    if (v < session.graph().num_nodes() && session.informed(v))
+    if (v < session.num_nodes() && session.informed(v))
       out.push_back(v);
   }
 }

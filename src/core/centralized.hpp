@@ -30,28 +30,25 @@
 //
 // Backend-agnostic since the implicit-graph refactor: the builder is
 // templated on GraphBackend and simulates its own rounds through
-// LightSession below instead of a full BroadcastSession — it only ever
-// schedules informed transmitters on a fault-free channel, for which the
-// exactly-one-transmitting-neighbor delivery rule reduces to bitset algebra
-// (see LightSession::step). On the materialized Graph this reproduces the
+// LightSession (sim/light_session.hpp) instead of a full BroadcastSession —
+// it only ever schedules informed transmitters on a fault-free channel, for
+// which the exactly-one-transmitting-neighbor delivery rule reduces to
+// bitset algebra. On the materialized Graph this reproduces the
 // engine-backed builder bit for bit; on ImplicitGnp it runs without ever
 // materializing an edge list.
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "graph/backend.hpp"
 #include "graph/bfs.hpp"
 #include "graph/covering.hpp"
 #include "graph/graph.hpp"
-#include "sim/channel_kernel.hpp"
+#include "sim/light_session.hpp"
 #include "sim/schedule.hpp"
 #include "util/assert.hpp"
 #include "util/bitset.hpp"
@@ -106,96 +103,6 @@ struct CentralizedBuildReport {
 struct CentralizedResult {
   Schedule schedule;
   CentralizedBuildReport report;
-};
-
-/// The builder's private broadcast simulator. A full BroadcastSession tracks
-/// faults, losses, observations and per-round statistics the builder never
-/// reads; LightSession keeps exactly the informed-set evolution. Because the
-/// builder only ever schedules INFORMED transmitters (asserted per step) on
-/// a fault-free channel, RadioEngine's delivery rule — a listener receives
-/// iff it is uninformed, not transmitting, and has exactly one transmitting
-/// neighbor — collapses to
-///
-///     newly = unique & ~informed
-///
-/// over the round fold's read-out (transmitters ⊆ informed, so ~informed
-/// already excludes them). For the materialized Graph the informed
-/// evolution is bit-identical to the BroadcastSession the builder
-/// previously drove.
-template <GraphBackend G>
-class LightSession {
- public:
-  LightSession(const G& g, NodeId source)
-      : g_(&g), informed_(g.num_nodes()), fold_(g.num_nodes()) {
-    RADIO_EXPECTS(source < g.num_nodes());
-    informed_.set(source);
-    informed_count_ = 1;
-  }
-
-  void step(std::span<const NodeId> transmitters) {
-    for (NodeId t : transmitters) RADIO_EXPECTS(informed_.test(t));
-    fold_.fold(*g_, transmitters);
-    const std::span<std::uint64_t> informed_w = informed_.words();
-    std::size_t newly = 0;
-    fold_.read_out([&](std::size_t base, std::uint64_t, std::uint64_t unique) {
-      std::uint64_t& known = informed_w[base / 64];
-      const std::uint64_t fresh = andnot(unique, known);
-      newly += static_cast<std::size_t>(std::popcount(fresh));
-      known |= fresh;
-    });
-    informed_count_ += newly;
-    last_newly_ = newly;
-  }
-
-  /// Counts how many currently uninformed listeners would receive the
-  /// message if exactly `sample` (distinct, informed nodes) transmitted,
-  /// without changing the session — the builder's look-ahead used to
-  /// resample unproductive phase-2 rounds before committing them.
-  /// O(Σ deg(sample)), or bitmap rows when the dense cost model pays.
-  std::size_t preview_new_informed(std::span<const NodeId> sample) {
-    fold_.mark_transmitters(sample);
-    fold_.fold(*g_, sample);
-    const std::span<const std::uint64_t> informed_w = informed_.words();
-    std::size_t newly = 0;
-    fold_.read_out([&](std::size_t base, std::uint64_t, std::uint64_t unique) {
-      newly += static_cast<std::size_t>(
-          std::popcount(andnot(unique, informed_w[base / 64])));
-    });
-    fold_.clear_transmitters(sample);
-    return newly;
-  }
-
-  bool informed(NodeId v) const noexcept { return informed_.test(v); }
-  std::size_t informed_count() const noexcept { return informed_count_; }
-  bool complete() const noexcept {
-    return informed_count_ == static_cast<std::size_t>(g_->num_nodes());
-  }
-  /// Nodes newly informed by the most recent step().
-  std::size_t last_newly() const noexcept { return last_newly_; }
-  const Bitset& informed_set() const noexcept { return informed_; }
-
-  std::vector<NodeId> informed_nodes() const {
-    std::vector<NodeId> out;
-    out.reserve(informed_count_);
-    informed_.collect(out);
-    return out;
-  }
-
-  std::vector<NodeId> uninformed_nodes() const {
-    std::vector<NodeId> out;
-    const NodeId n = g_->num_nodes();
-    out.reserve(static_cast<std::size_t>(n) - informed_count_);
-    for (NodeId v = 0; v < n; ++v)
-      if (!informed_.test(v)) out.push_back(v);
-    return out;
-  }
-
- private:
-  const G* g_;
-  Bitset informed_;
-  RoundFold fold_;  ///< scratch shared by step() and preview_new_informed()
-  std::size_t informed_count_ = 0;
-  std::size_t last_newly_ = 0;
 };
 
 namespace centralized_detail {

@@ -44,7 +44,7 @@ void ElsasserGasieniecBroadcast::select_transmitters(
     std::vector<NodeId>& out) {
   const double prob = transmit_probability(round);
   const bool tail = round > switch_round_;
-  for (NodeId v = 0; v < session.graph().num_nodes(); ++v) {
+  for (NodeId v = 0; v < session.num_nodes(); ++v) {
     if (!session.informed(v)) continue;
     if (tail && !options_.tail_includes_late_informed &&
         session.informed_round(v) > switch_round_)

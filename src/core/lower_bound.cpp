@@ -25,7 +25,7 @@ void ObliviousSequenceProtocol::select_transmitters(
   const double q = round <= probabilities_.size()
                        ? probabilities_[round - 1]
                        : probabilities_.back();
-  for (NodeId v = 0; v < session.graph().num_nodes(); ++v)
+  for (NodeId v = 0; v < session.num_nodes(); ++v)
     if (session.informed(v) && (q >= 1.0 || rng.bernoulli(q))) out.push_back(v);
 }
 
@@ -135,7 +135,7 @@ void SmallSetScheduleProtocol::select_transmitters(std::uint32_t,
                                                    std::vector<NodeId>& out) {
   pool_.clear();
   // informed_nodes()-style collection without allocating per round.
-  for (NodeId v = 0; v < session.graph().num_nodes(); ++v)
+  for (NodeId v = 0; v < session.num_nodes(); ++v)
     if (session.informed(v)) pool_.push_back(v);
   const NodeId size = static_cast<NodeId>(
       1 +

@@ -33,9 +33,9 @@ double AdaptiveBackoffProtocol::gate(std::uint32_t round) const noexcept {
 void AdaptiveBackoffProtocol::select_transmitters(
     std::uint32_t round, const SessionView& session, Rng& rng,
     std::vector<NodeId>& out) {
-  RADIO_EXPECTS(q_.size() == session.graph().num_nodes());
+  RADIO_EXPECTS(q_.size() == session.num_nodes());
   const double g = gate(round);
-  for (NodeId v = 0; v < session.graph().num_nodes(); ++v)
+  for (NodeId v = 0; v < session.num_nodes(); ++v)
     if (session.informed(v) && rng.bernoulli(q_[v] * g)) out.push_back(v);
 }
 

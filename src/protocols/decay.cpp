@@ -18,7 +18,7 @@ void DecayProtocol::reset(const ProtocolContext& ctx) {
 void DecayProtocol::select_transmitters(std::uint32_t round,
                                         const SessionView& session,
                                         Rng& rng, std::vector<NodeId>& out) {
-  RADIO_EXPECTS(nodes_ == session.graph().num_nodes());
+  RADIO_EXPECTS(nodes_ == session.num_nodes());
   const bool phase_start = (round - 1) % phase_length_ == 0;
   if (phase_start) {
     // Informed nodes become active, in ascending id order (the same order

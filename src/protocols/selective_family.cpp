@@ -47,7 +47,7 @@ void SelectiveFamilyProtocol::select_transmitters(
   RADIO_EXPECTS(!family_.rounds.empty());
   const ModularFamily::Round& r =
       family_.rounds[(round - 1) % family_.rounds.size()];
-  for (NodeId v = 0; v < session.graph().num_nodes(); ++v)
+  for (NodeId v = 0; v < session.num_nodes(); ++v)
     if (session.informed(v) && ModularFamily::selects(r, v)) out.push_back(v);
 }
 

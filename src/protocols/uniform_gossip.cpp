@@ -19,7 +19,7 @@ void UniformGossipProtocol::reset(const ProtocolContext& ctx) {
 void UniformGossipProtocol::select_transmitters(
     std::uint32_t, const SessionView& session, Rng& rng,
     std::vector<NodeId>& out) {
-  for (NodeId v = 0; v < session.graph().num_nodes(); ++v)
+  for (NodeId v = 0; v < session.num_nodes(); ++v)
     if (session.informed(v) && rng.bernoulli(q_)) out.push_back(v);
 }
 

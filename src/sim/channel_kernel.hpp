@@ -1,6 +1,6 @@
 // The round fold: the one implementation of the paper's reception rule
 // (§1.1: a listener receives iff exactly one neighbor transmits), shared by
-// RadioEngine, GossipSession, the centralized builder's LightSession and its
+// RadioEngine, GossipSession, LightSession (sim/light_session.hpp) and its
 // round preview.
 //
 // A round folds every transmitter's neighborhood into two accumulator

@@ -7,6 +7,10 @@
 // full session per lane. The view is a fat pointer (graph + informed set +
 // informed-round array), cheap to construct per round; BroadcastSession
 // converts implicitly so existing call sites compile unchanged.
+//
+// Protocols read the node count through num_nodes(). graph() exists only on
+// views of sessions over a materialized Graph; LightSession on another
+// GraphBackend (sim/light_session.hpp) hands out views without one.
 #pragma once
 
 #include <cstddef>
@@ -14,6 +18,7 @@
 #include <span>
 
 #include "graph/graph.hpp"
+#include "util/assert.hpp"
 #include "util/bitset.hpp"
 
 namespace radio {
@@ -22,19 +27,34 @@ class BroadcastSession;
 
 class SessionView {
  public:
+  /// A view without a topology: n is the size of the informed set.
+  SessionView(const Bitset& informed,
+              std::span<const std::uint32_t> informed_round,
+              std::size_t informed_count) noexcept
+      : informed_(&informed),
+        informed_round_(informed_round),
+        informed_count_(informed_count) {}
+
   SessionView(const Graph& g, const Bitset& informed,
               std::span<const std::uint32_t> informed_round,
               std::size_t informed_count) noexcept
-      : graph_(&g),
-        informed_(&informed),
-        informed_round_(informed_round),
-        informed_count_(informed_count) {}
+      : SessionView(informed, informed_round, informed_count) {
+    graph_ = &g;
+  }
 
   /// Implicit on purpose: run_protocol and the tests hand sessions straight
   /// to Protocol::select_transmitters. Defined in session.cpp.
   SessionView(const BroadcastSession& session) noexcept;  // NOLINT(runtime/explicit)
 
-  const Graph& graph() const noexcept { return *graph_; }
+  NodeId num_nodes() const noexcept {
+    return static_cast<NodeId>(informed_->size());
+  }
+
+  /// The materialized topology; only views built from a Graph have one.
+  const Graph& graph() const noexcept {
+    RADIO_EXPECTS(graph_ != nullptr);
+    return *graph_;
+  }
 
   bool informed(NodeId v) const noexcept { return informed_->test(v); }
 
@@ -49,7 +69,7 @@ class SessionView {
   const Bitset& informed_set() const noexcept { return *informed_; }
 
  private:
-  const Graph* graph_;
+  const Graph* graph_ = nullptr;
   const Bitset* informed_;
   std::span<const std::uint32_t> informed_round_;
   std::size_t informed_count_;

@@ -1,17 +1,19 @@
 // Sustained-traffic simulation: a radio network serving a Poisson stream of
 // broadcast messages through a pipelined StreamingProtocol.
 //
-// One StreamSession == one long-lived service run on one graph instance.
+// One StreamSession == one long-lived service run on one graph instance, on
+// any GraphBackend: E16/E17 stream on a materialized Graph, E18 on the
+// on-demand ImplicitGnp sampler at n where no edge list could exist.
 // Per wall round r = 1 … horizon:
 //
 //   1. arrivals — PoissonArrivals draws k ~ Poisson(rate) new messages,
 //      each at a uniform origin node, enqueued FIFO;
 //   2. dispatch — the round's owning pipeline slot s = (r-1) % depth adopts
-//      the oldest waiting message if it is idle (one BroadcastSession per
+//      the oldest waiting message if it is idle (one LightSession per
 //      in-flight message, created here);
 //   3. service — slot s advances its message by ONE local round: the
-//      streaming protocol selects transmitters, the channel kernel executes
-//      them (exact collision semantics, sim/engine.hpp);
+//      streaming protocol selects transmitters, the round fold executes
+//      them (exact reception rule, sim/light_session.hpp);
 //   4. retire — if the message's broadcast completed (every node informed),
 //      its latency (completion - arrival, queueing included) is recorded and
 //      the slot goes idle.
@@ -20,25 +22,30 @@
 // collide with each other (streaming_protocol.hpp). A message whose
 // broadcast cannot complete (e.g. flooding wedged by collisions) occupies
 // its slot forever — that shows up honestly as queue growth, which is
-// exactly what E16's stability sweep measures.
+// exactly what E16's stability sweep measures. Collisions themselves are not
+// counted: the per-message state is the history-free LightSession.
 //
 // Determinism contract: all randomness comes from two session-owned
 // generators derived via Rng::for_stream(seed, tag | stream) — one for
 // arrivals, one for protocol coin flips, with disjoint tag bits so neither
 // stream can collide with a plain trial stream. A StreamSession is a pure
 // function of (graph, context, protocol, config): results are byte-identical
-// across thread counts and --batch widths (which parallelize across
-// sessions, never inside one); pinned by tests/analysis/
-// test_stream_determinism.cpp.
+// across thread counts, --batch widths (which parallelize across sessions,
+// never inside one) and graph backends holding the same edges; pinned by
+// tests/analysis/test_stream_determinism.cpp and
+// tests/analysis/test_stream_workload.cpp.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <vector>
 
-#include "sim/session.hpp"
+#include "graph/backend.hpp"
+#include "sim/light_session.hpp"
 #include "sim/stream/message_queue.hpp"
 #include "sim/stream/streaming_protocol.hpp"
+#include "util/assert.hpp"
 #include "util/stream_tags.hpp"
 
 namespace radio {
@@ -76,10 +83,6 @@ struct StreamMetrics {
   std::uint32_t in_flight_at_horizon = 0;
   std::uint32_t rounds = 0;        ///< == config.horizon
   std::uint64_t transmissions = 0;
-  /// Collision events summed over every message's broadcast session. The
-  /// giant-n light path (analysis/stream_workload.hpp) does not track
-  /// collisions and reports 0 here.
-  std::uint64_t collisions = 0;
   /// completion - arrival per delivered message, in delivery order.
   std::vector<std::uint32_t> latencies;
   std::vector<QueueSample> trajectory;
@@ -92,28 +95,106 @@ struct StreamMetrics {
   }
 };
 
+template <GraphBackend G>
 class StreamSession {
  public:
   /// The graph and protocol must outlive the session. `ctx.n` must equal
   /// `g.num_nodes()`.
-  StreamSession(const Graph& g, const ProtocolContext& ctx,
-                StreamingProtocol& protocol, const StreamConfig& config);
+  StreamSession(const G& g, const ProtocolContext& ctx,
+                StreamingProtocol& protocol, const StreamConfig& config)
+      : g_(&g), ctx_(ctx), protocol_(&protocol), config_(config) {
+    RADIO_EXPECTS(ctx.n == g.num_nodes());
+    RADIO_EXPECTS(ctx.n >= 2);
+    RADIO_EXPECTS(config.rate >= 0.0);
+    RADIO_EXPECTS(config.horizon >= 1);
+  }
 
   /// Runs the full horizon. Single-use: a second call asserts.
-  StreamMetrics run();
+  StreamMetrics run() {
+    RADIO_EXPECTS(!ran_);
+    ran_ = true;
+
+    protocol_->reset(ctx_);
+    const std::uint32_t depth = protocol_->pipeline_depth();
+    RADIO_EXPECTS(depth >= 1);
+    std::vector<Slot> slots(depth);
+
+    PoissonArrivals arrivals(
+        config_.rate, ctx_.n,
+        Rng::for_stream(config_.seed, kArrivalStreamTag | config_.stream));
+    Rng protocol_rng =
+        Rng::for_stream(config_.seed, kProtocolStreamTag | config_.stream);
+
+    StreamMetrics metrics;
+    metrics.rounds = config_.horizon;
+    const std::uint32_t mid = config_.horizon / 2;
+    const std::uint32_t stride = std::max<std::uint32_t>(
+        1, config_.horizon /
+               std::max<std::uint32_t>(1, config_.trajectory_samples));
+
+    std::vector<NodeId> origins;
+    std::vector<NodeId> transmitters;
+    for (std::uint32_t r = 1; r <= config_.horizon; ++r) {
+      // 1. Arrivals.
+      origins.clear();
+      arrivals.draw(origins);
+      for (const NodeId origin : origins) queue_.enqueue(origin, r);
+
+      // 2. Dispatch into the round's owning slot.
+      const std::uint32_t s = (r - 1) % depth;
+      Slot& slot = slots[s];
+      if (!slot.session && queue_.has_waiting()) {
+        slot.message_id = queue_.start_next(r);
+        slot.session.emplace(*g_, queue_.message(slot.message_id).origin);
+        protocol_->on_message_start(s);
+      }
+
+      // 3. Service one local round of the slot's message.
+      if (slot.session) {
+        transmitters.clear();
+        protocol_->select_transmitters(s, slot.session->current_round() + 1,
+                                       slot.session->view(), protocol_rng,
+                                       transmitters);
+        slot.session->step(transmitters);
+        metrics.transmissions += transmitters.size();
+
+        // 4. Retire on completion.
+        if (slot.session->complete()) {
+          queue_.mark_delivered(slot.message_id, r);
+          metrics.latencies.push_back(
+              r - queue_.message(slot.message_id).arrival_round);
+          slot.session.reset();
+        }
+      }
+
+      metrics.max_waiting =
+          std::max<std::uint64_t>(metrics.max_waiting, queue_.waiting());
+      if (r == mid) metrics.waiting_mid = queue_.waiting();
+      if (r % stride == 0 || r == config_.horizon)
+        metrics.trajectory.push_back(
+            QueueSample{r, queue_.waiting(),
+                        static_cast<std::uint32_t>(queue_.in_flight())});
+    }
+
+    metrics.enqueued = queue_.total_enqueued();
+    metrics.delivered = queue_.delivered();
+    metrics.waiting_at_horizon = queue_.waiting();
+    metrics.in_flight_at_horizon =
+        static_cast<std::uint32_t>(queue_.in_flight());
+    return metrics;
+  }
 
   /// The arrival ledger (conservation checks, per-message forensics).
   const MessageQueue& queue() const noexcept { return queue_; }
 
  private:
+  /// A pipeline slot: idle while `session` is empty.
   struct Slot {
-    std::unique_ptr<BroadcastSession> session;
+    std::optional<LightSession<G>> session;
     std::uint64_t message_id = 0;
-    std::uint32_t local_round = 0;
-    bool active = false;
   };
 
-  const Graph* g_;
+  const G* g_;
   ProtocolContext ctx_;
   StreamingProtocol* protocol_;
   StreamConfig config_;

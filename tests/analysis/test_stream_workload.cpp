@@ -1,27 +1,36 @@
-// Streaming workload drivers (analysis/stream_workload.hpp): the full
-// StreamSession path and the giant-n light path must agree message for
-// message on the same materialized graph, and run_stream_trial must honor
-// the backend choice and stream index it is handed.
+// Streaming workloads: StreamSession is one template over GraphBackend, so
+// the light path (the on-demand ImplicitGnp, E18) and the full path (its
+// materialized CSR twin, E16/E17's kind of graph) must give identical
+// metrics, and run_stream_trial must honor the backend choice and stream
+// index it is handed.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "analysis/stream_workload.hpp"
 #include "graph/implicit_gnp.hpp"
-#include "graph/random_graph.hpp"
 #include "protocols/streaming_adapters.hpp"
 
 namespace radio {
 namespace {
 
-// The equivalence pin behind E18: run_decay_stream<G> inlines pipelined
-// decay over LightSession, and must replicate the full path's Rng draw
-// sequence exactly — same arrivals, same coin flips, same deliveries. Only
-// collision counts differ (the light path does not track them).
+template <GraphBackend G>
+StreamMetrics run_pipelined_decay(const G& g, double p,
+                                  const StreamConfig& config) {
+  const auto protocol = make_pipelined_decay(2);
+  StreamSession session(g, ProtocolContext{g.num_nodes(), p}, *protocol,
+                        config);
+  return session.run();
+}
+
+// The same edges on either backend give the same arrivals, coin flips and
+// deliveries: every StreamMetrics field must match between an ImplicitGnp
+// and its materialize() twin.
 TEST(StreamWorkload, LightMatchesFullPath) {
-  Rng graph_rng = Rng::for_stream(404, 0);
-  const Graph g =
-      generate_gnp(GnpParams::with_degree(96, 24.0), graph_rng);
+  const NodeId n = 512;
+  const double p = 20.0 / n;
+  const ImplicitGnp implicit(n, p, 404);
+  const Graph materialized = implicit.materialize();
 
   StreamConfig config;
   config.rate = 0.02;
@@ -30,38 +39,43 @@ TEST(StreamWorkload, LightMatchesFullPath) {
   config.stream = 5;
   config.trajectory_samples = 6;
 
-  const ProtocolContext ctx{g.num_nodes(), 0.0};
-  const auto protocol = make_pipelined_decay(2);
-  StreamSession session(g, ctx, *protocol, config);
-  const StreamMetrics full = session.run();
-  const StreamMetrics light = run_decay_stream(g, 2, config);
+  const StreamMetrics a = run_pipelined_decay(implicit, p, config);
+  const StreamMetrics b = run_pipelined_decay(materialized, p, config);
 
-  EXPECT_GT(full.delivered, 0u);
-  EXPECT_EQ(light.enqueued, full.enqueued);
-  EXPECT_EQ(light.delivered, full.delivered);
-  EXPECT_EQ(light.waiting_at_horizon, full.waiting_at_horizon);
-  EXPECT_EQ(light.waiting_mid, full.waiting_mid);
-  EXPECT_EQ(light.max_waiting, full.max_waiting);
-  EXPECT_EQ(light.in_flight_at_horizon, full.in_flight_at_horizon);
-  EXPECT_EQ(light.transmissions, full.transmissions);
-  EXPECT_EQ(light.latencies, full.latencies);
-  ASSERT_EQ(light.trajectory.size(), full.trajectory.size());
-  for (std::size_t i = 0; i < light.trajectory.size(); ++i) {
-    EXPECT_EQ(light.trajectory[i].round, full.trajectory[i].round);
-    EXPECT_EQ(light.trajectory[i].waiting, full.trajectory[i].waiting);
-    EXPECT_EQ(light.trajectory[i].in_flight, full.trajectory[i].in_flight);
+  EXPECT_GT(a.delivered, 0u);
+  EXPECT_EQ(a.enqueued, b.enqueued);
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.waiting_at_horizon, b.waiting_at_horizon);
+  EXPECT_EQ(a.waiting_mid, b.waiting_mid);
+  EXPECT_EQ(a.max_waiting, b.max_waiting);
+  EXPECT_EQ(a.in_flight_at_horizon, b.in_flight_at_horizon);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.transmissions, b.transmissions);
+  EXPECT_EQ(a.latencies, b.latencies);
+  ASSERT_EQ(a.trajectory.size(), b.trajectory.size());
+  for (std::size_t i = 0; i < a.trajectory.size(); ++i) {
+    EXPECT_EQ(a.trajectory[i].round, b.trajectory[i].round);
+    EXPECT_EQ(a.trajectory[i].waiting, b.trajectory[i].waiting);
+    EXPECT_EQ(a.trajectory[i].in_flight, b.trajectory[i].in_flight);
   }
-  EXPECT_EQ(light.collisions, 0u);  // by design; full path counts them
+  EXPECT_EQ(a.enqueued,
+            a.delivered + a.in_flight_at_horizon + a.waiting_at_horizon);
 }
 
+// E18's shape: pipelined decay streams on the on-demand backend, which
+// never builds an adjacency list, and every enqueued message is accounted
+// for at the horizon.
 TEST(StreamWorkload, LightPathRunsOnImplicitBackend) {
-  const ImplicitGnp g(4096, 12.0 / 4096.0, 77);
+  const NodeId n = 4096;
+  const double p = 12.0 / n;
+  const ImplicitGnp g(n, p, 77);
   StreamConfig config;
   config.rate = 0.005;
   config.horizon = 600;
   config.seed = 77;
-  const StreamMetrics metrics = run_decay_stream(g, 2, config);
+  const StreamMetrics metrics = run_pipelined_decay(g, p, config);
   EXPECT_EQ(metrics.rounds, 600u);
+  EXPECT_GT(metrics.delivered, 0u);
   EXPECT_EQ(metrics.enqueued, metrics.delivered + metrics.in_flight_at_horizon +
                                   metrics.waiting_at_horizon);
 }
@@ -79,7 +93,6 @@ TEST(StreamWorkload, TrialIsDeterministicInSeedAndStream) {
   EXPECT_EQ(a.enqueued, b.enqueued);
   EXPECT_EQ(a.delivered, b.delivered);
   EXPECT_EQ(a.transmissions, b.transmissions);
-  EXPECT_EQ(a.collisions, b.collisions);
   EXPECT_EQ(a.latencies, b.latencies);
 
   const StreamMetrics c = run_once(1);

@@ -1,12 +1,12 @@
 // Plain-loop fallback driver for the fuzz harnesses.
 //
-// The harnesses (fuzz_schedule_text.cpp, fuzz_json.cpp) export the standard
-// libFuzzer entry point LLVMFuzzerTestOneInput. Built with
-// -DRADIO_FUZZ_LIBFUZZER=ON (clang only) they become real coverage-guided
-// fuzzers; in the default build this file supplies main(): it replays every
-// committed corpus file, then runs a deterministic mutation loop over the
-// corpus so ctest and scripts/ci.sh exercise the parsers against thousands
-// of corrupted inputs on every run, no fuzzer runtime required.
+// A harness (today fuzz_json.cpp) exports the standard libFuzzer entry point
+// LLVMFuzzerTestOneInput. Built with -DRADIO_FUZZ_LIBFUZZER=ON (clang only)
+// it becomes a real coverage-guided fuzzer; in the default build this file
+// supplies main(): it replays every committed corpus file, then runs a
+// deterministic mutation loop over the corpus so ctest and scripts/ci.sh
+// exercise the parser against thousands of corrupted inputs on every run, no
+// fuzzer runtime required.
 //
 //   fuzz_<target> CORPUS_DIR [--iters N] [--seed S]
 //

@@ -112,6 +112,31 @@ class NoIostreamInKernel(unittest.TestCase):
     def test_non_kernel_file_out_of_scope(self):
         self.assertEqual(scan("src/sim/iostream_elsewhere_clean.cpp"), [])
 
+    def test_missing_kernel_file_reported(self):
+        hits = radio_lint.check_kernel_files_exist(
+            FIXTURE_ROOT, ("src/sim/channel_kernel.cpp", "src/sim/gone.cpp"))
+        self.assertEqual(len(hits), 1)
+        self.assertEqual(hits[0].rule, radio_lint.RULE_NO_IOSTREAM)
+        self.assertIn("'src/sim/gone.cpp'", hits[0].message)
+        self.assertTrue(hits[0].path.endswith("scripts/radio_lint.py"))
+
+    def test_real_kernel_files_all_exist(self):
+        self.assertEqual(radio_lint.check_kernel_files_exist(REPO_ROOT), [])
+
+    def test_whole_tree_run_reports_missing_kernel_files(self):
+        import contextlib
+        import io
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = radio_lint.main(["--root", FIXTURE_ROOT])
+        self.assertEqual(code, 1)
+        stale = [l for l in out.getvalue().splitlines()
+                 if "KERNEL_FILES entry" in l]
+        missing = [p for p in radio_lint.KERNEL_FILES
+                   if not os.path.isfile(os.path.join(FIXTURE_ROOT, p))]
+        self.assertEqual(len(stale), len(missing))
+        self.assertGreater(len(missing), 0)
+
 
 class NoUnorderedIterationToOutput(unittest.TestCase):
     def test_positive(self):

@@ -15,11 +15,11 @@
 #include <type_traits>
 #include <vector>
 
-#include "core/centralized.hpp"
 #include "gossip/gossip_session.hpp"
 #include "graph/implicit_gnp.hpp"
 #include "graph/random_graph.hpp"
 #include "sim/engine.hpp"
+#include "sim/light_session.hpp"
 
 namespace radio {
 namespace {
@@ -142,7 +142,9 @@ INSTANTIATE_TEST_SUITE_P(
                       // More than one dirty-index word, n % 64 != 0.
                       Scenario{4133, 0.002, 0.5, 0.05},
                       Scenario{4133, 0.05, 0.3, 0.2},
-                      Scenario{8257, 0.001, 0.9, 0.3}),
+                      Scenario{8257, 0.001, 0.9, 0.3},
+                      // Smallest n, half the pairs adjacent.
+                      Scenario{24, 0.5, 0.5, 0.5}),
     [](const ::testing::TestParamInfo<Scenario>& pinfo) {
       return "n" + std::to_string(pinfo.param.n) + "_case" +
              std::to_string(pinfo.index);
@@ -150,8 +152,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// Drives a LightSession from `source` with random informed transmitter
 /// sets; before each step, previews a second random informed sample. Both
-/// must match the reference round, and the preview must leave the session
-/// untouched. Returns how many rounds the cost model would run dense.
+/// must match the reference round, the preview must leave the session
+/// untouched, and the session's view must report n, the informed count and
+/// the round of every delivery (and the graph itself on a Graph). Returns
+/// how many rounds the cost model would run dense.
 template <GraphBackend G>
 int check_light_session(const G& g, NodeId source, double tx_fraction,
                         int rounds, Rng& rng) {
@@ -179,7 +183,20 @@ int check_light_session(const G& g, NodeId source, double tx_fraction,
     EXPECT_EQ(session.informed_set(), expected) << "step, round " << round;
     EXPECT_EQ(session.last_newly(), ref.delivered.size()) << "round " << round;
     EXPECT_EQ(session.informed_count(), expected.count());
+
+    const SessionView view = session.view();
+    EXPECT_EQ(view.num_nodes(), g.num_nodes());
+    if constexpr (std::is_same_v<G, Graph>) {
+      EXPECT_EQ(&view.graph(), &g);
+    }
+    EXPECT_EQ(view.informed_count(), expected.count()) << "round " << round;
+    const auto step_round = static_cast<std::uint32_t>(round + 1);
+    EXPECT_EQ(session.current_round(), step_round);
+    for (NodeId w : ref.delivered)
+      EXPECT_EQ(view.informed_round(w), step_round)
+          << "round " << round << " node " << w;
   }
+  EXPECT_EQ(session.view().informed_round(source), 0u);
   return dense_rounds;
 }
 

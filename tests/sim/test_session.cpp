@@ -1,6 +1,8 @@
-// Broadcast session: informed bookkeeping, round history, completion.
+// Broadcast sessions: informed bookkeeping, round history, completion, and
+// the history-free LightSession's input checks.
 #include <gtest/gtest.h>
 
+#include "sim/light_session.hpp"
 #include "sim/session.hpp"
 #include "sim/trace.hpp"
 
@@ -91,6 +93,22 @@ TEST(Session, WastedCountsRedundantReceptions) {
 TEST(SessionDeathTest, InvalidSourceRejected) {
   const Graph g = path4();
   EXPECT_DEATH(BroadcastSession(g, 9), "precondition");
+}
+
+TEST(LightSessionDeathTest, DuplicateTransmitterRejected) {
+  // A repeated id would be folded twice and turn its neighbours' receptions
+  // into collisions; the session must refuse it like RadioEngine does.
+  const Graph g = path4();
+  LightSession<Graph> session(g, 0);
+  const std::vector<NodeId> tx = {0, 0};
+  EXPECT_DEATH(session.step(tx), "precondition");
+}
+
+TEST(LightSessionDeathTest, UninformedTransmitterRejected) {
+  const Graph g = path4();
+  LightSession<Graph> session(g, 0);
+  const std::vector<NodeId> tx = {2};
+  EXPECT_DEATH(session.step(tx), "precondition");
 }
 
 TEST(Trace, TableHasOneRowPerRound) {

@@ -196,7 +196,6 @@ TEST(StreamSession, IdenticalConfigsProduceIdenticalMetrics) {
   EXPECT_EQ(a.enqueued, b.enqueued);
   EXPECT_EQ(a.delivered, b.delivered);
   EXPECT_EQ(a.transmissions, b.transmissions);
-  EXPECT_EQ(a.collisions, b.collisions);
   EXPECT_EQ(a.latencies, b.latencies);
 }
 
