@@ -1,12 +1,16 @@
 // Graph-generation microbenchmark: edges/sec of every G(n,p) production
 // path, plus generation time vs n for the implicit backend's index build.
 //
-// Three axes matter after the giant-n refactor:
+// Four axes:
 //   * BM_GenerateCsr — the geometric-skip sparse sampler into a CSR Graph
 //     (the legacy default path, now running on the overflow-proof walk);
-//   * BM_GenerateBitmap — the word-parallel BernoulliWordGen bitmap
-//     generator the auto cost model picks for dense rows (p >= 1/64 with a
-//     fitting bitmap);
+//   * BM_GenerateBitmap — the word-parallel BernoulliWordGen generator the
+//     auto cost model picks for dense rows (p >= 1/64 with a fitting
+//     bitmap). Both run at d = n^0.75, where the word sampler keeps its
+//     mirrored bitmap;
+//   * BM_GenerateAuto — the auto cost model at d = ln² n, the regime of E1,
+//     E3 and perfbench: the word sampler's sorted-run assembly at n = 4096,
+//     the skip walk's at n = 32768;
 //   * BM_ImplicitIndex — ImplicitGnp construction + full index build, the
 //     one-off cost an experiment pays before on-demand neighbor queries are
 //     O(1). Swept over n at fixed expected degree so bench_report.py can
@@ -65,6 +69,23 @@ void BM_GenerateBitmap(benchmark::State& state) {
       static_cast<double>(edges), benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_GenerateBitmap)->Arg(kDenseN)->Unit(benchmark::kMillisecond);
+
+void BM_GenerateAuto(benchmark::State& state) {
+  const auto n = static_cast<radio::NodeId>(state.range(0));
+  const double ln_n = std::log(static_cast<double>(n));
+  const radio::GnpParams params = radio::GnpParams::with_degree(n, ln_n * ln_n);
+  radio::Rng rng(kSeed);
+  std::uint64_t edges = 0;
+  for (auto _ : state) {
+    const radio::Graph g = radio::generate_gnp_backend(
+        params, rng, radio::GraphBackendChoice::kAuto);
+    edges = g.num_edges();
+    benchmark::DoNotOptimize(edges);
+  }
+  state.counters["edges_per_s"] = benchmark::Counter(
+      static_cast<double>(edges), benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_GenerateAuto)->Arg(1 << 12)->Arg(1 << 15)->Unit(benchmark::kMillisecond);
 
 // Generation time vs n at fixed d = 3 ln n (the giant-n smoke's density):
 // each iteration builds a fresh ImplicitGnp and forces the full index, so

@@ -22,7 +22,8 @@ ways, speedup} rows — the instance-parallel core's perf record.
 With ``--gen-sweep GEN_JSON`` (the output of ``bench/bench_graph_gen
 --benchmark_format=json``) the entry gains a ``graph_gen`` list of
 {path, n, ms, edges/sec} rows: generation throughput of the CSR and bitmap
-producers plus the implicit backend's index-build time vs n.
+producers at d = n^0.75, of the auto cost model at d = ln² n (path
+``auto``), plus the implicit backend's index-build time vs n.
 
 Standard library only; no third-party imports.
 
@@ -233,6 +234,7 @@ def batch_sweep_rows(sweep_json: pathlib.Path) -> list[dict]:
 GEN_BENCH_PATHS = {
     "BM_GenerateCsr": "csr",
     "BM_GenerateBitmap": "bitmap",
+    "BM_GenerateAuto": "auto",
     "BM_ImplicitIndex": "implicit",
 }
 
@@ -263,7 +265,7 @@ def gen_sweep_rows(gen_json: pathlib.Path) -> list[dict]:
     if not rows:
         raise SystemExit(
             f"error: {gen_json} has no BM_GenerateCsr / BM_GenerateBitmap /"
-            " BM_ImplicitIndex entries")
+            " BM_GenerateAuto / BM_ImplicitIndex entries")
     return sorted(rows, key=lambda r: (r["path"], r["n"]))
 
 

@@ -44,13 +44,13 @@ void ElsasserGasieniecBroadcast::select_transmitters(
     std::vector<NodeId>& out) {
   const double prob = transmit_probability(round);
   const bool tail = round > switch_round_;
-  for (NodeId v = 0; v < session.num_nodes(); ++v) {
-    if (!session.informed(v)) continue;
+  session.informed_set().for_each_set([&](std::size_t i) {
+    const auto v = static_cast<NodeId>(i);
     if (tail && !options_.tail_includes_late_informed &&
         session.informed_round(v) > switch_round_)
-      continue;  // the paper's tail: only rounds-1…D knowers transmit
+      return;  // the paper's tail: only rounds-1…D knowers transmit
     if (prob >= 1.0 || rng.bernoulli(prob)) out.push_back(v);
-  }
+  });
 }
 
 }  // namespace radio

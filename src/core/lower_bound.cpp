@@ -25,8 +25,9 @@ void ObliviousSequenceProtocol::select_transmitters(
   const double q = round <= probabilities_.size()
                        ? probabilities_[round - 1]
                        : probabilities_.back();
-  for (NodeId v = 0; v < session.num_nodes(); ++v)
-    if (session.informed(v) && (q >= 1.0 || rng.bernoulli(q))) out.push_back(v);
+  session.informed_set().for_each_set([&](std::size_t v) {
+    if (q >= 1.0 || rng.bernoulli(q)) out.push_back(static_cast<NodeId>(v));
+  });
 }
 
 std::vector<double> theorem7_oblivious_sequence(const ProtocolContext& ctx,
@@ -134,9 +135,7 @@ void SmallSetScheduleProtocol::select_transmitters(std::uint32_t,
                                                    Rng& rng,
                                                    std::vector<NodeId>& out) {
   pool_.clear();
-  // informed_nodes()-style collection without allocating per round.
-  for (NodeId v = 0; v < session.num_nodes(); ++v)
-    if (session.informed(v)) pool_.push_back(v);
+  session.informed_set().collect(pool_);  // no allocation per round
   const NodeId size = static_cast<NodeId>(
       1 +
       rng.uniform_below(std::min<std::uint64_t>(max_set_size_, pool_.size())));

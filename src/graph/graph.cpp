@@ -61,6 +61,52 @@ Graph Graph::from_csr(std::vector<EdgeCount> offsets, std::vector<NodeId> adj) {
   return g;
 }
 
+Graph Graph::from_sorted_runs(NodeId n, RunSide side,
+                              std::span<const EdgeCount> run_offsets,
+                              std::span<const NodeId> runs) {
+  RADIO_EXPECTS(run_offsets.size() == static_cast<std::size_t>(n) + 1);
+  RADIO_EXPECTS(run_offsets.front() == 0 && run_offsets.back() == runs.size());
+  const bool below = side == RunSide::kBelow;
+  // Pass 1: check every entry and size the rows, offsets[x + 1] = deg(x).
+  std::vector<EdgeCount> offsets(static_cast<std::size_t>(n) + 1, 0);
+  for (NodeId x = 0; x < n; ++x) {
+    const EdgeCount begin = run_offsets[x];
+    const EdgeCount end = run_offsets[x + 1];
+    RADIO_EXPECTS(begin <= end);
+    offsets[x + 1] += end - begin;
+    for (EdgeCount k = begin; k < end; ++k) {
+      const NodeId y = runs[k];
+      RADIO_EXPECTS(k == begin || runs[k - 1] < y);  // ascending, no repeat
+      RADIO_EXPECTS(below ? y < x : (x < y && y < n));
+      ++offsets[y + 1];
+    }
+  }
+  // Shifted exclusive prefix sums: offsets[x + 1] becomes row x's start and
+  // then its write cursor, which the placement leaves at row x's end — row
+  // x + 1's start — so no separate cursor array is needed.
+  EdgeCount start = 0;
+  for (NodeId x = 0; x < n; ++x) {
+    const EdgeCount degree = offsets[x + 1];
+    offsets[x + 1] = start;
+    start += degree;
+  }
+  // Pass 2, owners ascending. Each row receives, in order, the owners below
+  // it (kAbove) or its own run (kBelow), then its own run (kAbove) or the
+  // owners above it (kBelow): ascending either way.
+  std::vector<NodeId> adj(static_cast<std::size_t>(start));
+  for (NodeId x = 0; x < n; ++x) {
+    const auto run =
+        runs.subspan(run_offsets[x], run_offsets[x + 1] - run_offsets[x]);
+    std::copy(run.begin(), run.end(), adj.data() + offsets[x + 1]);
+    offsets[x + 1] += run.size();
+    for (const NodeId y : run) adj[offsets[y + 1]++] = x;
+  }
+  Graph g;
+  g.offsets_ = std::move(offsets);
+  g.adj_ = std::move(adj);
+  return g;
+}
+
 Graph Graph::from_bitmap(NodeId n, std::vector<std::uint64_t> words) {
   const std::size_t wpr = (static_cast<std::size_t>(n) + 63) / 64;
   RADIO_EXPECTS(words.size() == static_cast<std::size_t>(n) * wpr);

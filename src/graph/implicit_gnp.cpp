@@ -1,6 +1,7 @@
 #include "graph/implicit_gnp.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/assert.hpp"
 
@@ -21,9 +22,10 @@ void append_forward_stream(NodeId n, double p, std::uint64_t seed, NodeId v,
     return;
   }
   Rng rng = Rng::for_stream(seed, v);
+  const double log_q = std::log1p(-p);
   std::uint64_t offset = 0;  // candidates consumed so far
   while (true) {
-    const std::uint64_t skip = rng.geometric_skips(p);
+    const std::uint64_t skip = rng.geometric_skips(p, log_q);
     if (skip >= span - offset) break;
     offset += skip;
     out.push_back(static_cast<NodeId>(v + 1 + offset));
@@ -55,43 +57,24 @@ bool ImplicitGnp::has_edge(NodeId u, NodeId v) const {
 void ImplicitGnp::ensure_index() const {
   Index& ix = *index_;
   std::call_once(ix.once, [&] {
-    const NodeId n = n_;
-    // Pass 1: stream every forward walk into a forward CSR (ascending v,
-    // each run ascending by construction).
-    std::vector<EdgeCount> foff(static_cast<std::size_t>(n) + 1, 0);
+    // Stream every forward walk into one run per node (ascending v, each run
+    // ascending by construction, all above their owner).
+    std::vector<EdgeCount> foff(static_cast<std::size_t>(n_) + 1, 0);
     std::vector<NodeId> fadj;
-    const double expected = 0.5 * p_ * static_cast<double>(n) *
-                            static_cast<double>(n > 0 ? n - 1 : 0);
+    const double expected = 0.5 * p_ * static_cast<double>(n_) *
+                            static_cast<double>(n_ > 0 ? n_ - 1 : 0);
     fadj.reserve(static_cast<std::size_t>(expected * 1.05) + 16);
-    for (NodeId v = 0; v < n; ++v) {
-      append_forward_stream(n, p_, seed_, v, fadj);
+    for (NodeId v = 0; v < n_; ++v) {
+      append_forward_stream(n_, p_, seed_, v, fadj);
       foff[v + 1] = fadj.size();
     }
-    // Pass 2: size the full rows — deg(v) = |fwd(v)| + |rev(v)|.
-    ix.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-    for (NodeId v = 0; v < n; ++v)
-      ix.offsets[v + 1] = foff[v + 1] - foff[v];
-    for (NodeId w : fadj) ++ix.offsets[w + 1];
-    for (std::size_t i = 1; i < ix.offsets.size(); ++i)
-      ix.offsets[i] += ix.offsets[i - 1];
-    // Pass 3: ordered placement. Processing u ascending, row u has already
-    // received every rev entry (they come from streams < u, in ascending u),
-    // so appending fwd(u) now keeps the row sorted; u is then scattered into
-    // the later rows it points at. No comparison sort anywhere.
-    ix.adj.resize(static_cast<std::size_t>(ix.offsets[n]));
-    std::vector<EdgeCount> cursor(ix.offsets.begin(), ix.offsets.end() - 1);
-    for (NodeId u = 0; u < n; ++u) {
-      for (EdgeCount k = foff[u]; k < foff[u + 1]; ++k)
-        ix.adj[cursor[u]++] = fadj[k];
-      for (EdgeCount k = foff[u]; k < foff[u + 1]; ++k)
-        ix.adj[cursor[fadj[k]]++] = u;
-    }
+    ix.graph = Graph::from_sorted_runs(n_, Graph::RunSide::kAbove, foff, fadj);
   });
 }
 
 Graph ImplicitGnp::materialize() const {
   ensure_index();
-  return Graph::from_csr(index_->offsets, index_->adj);
+  return index_->graph;
 }
 
 }  // namespace radio

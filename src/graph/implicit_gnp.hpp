@@ -15,13 +15,12 @@
 // rev(v) = {u < v : v ∈ fwd(u)} needs the other streams, so the first full
 // query builds the whole CSR index once (std::call_once — thread-safe and
 // shared by copies, like Graph's bitmap cache): one streaming pass emits
-// every forward stream into a forward CSR, then a counting pass sizes the
-// rows and an ordered placement pass writes rev entries (ascending u for
-// free) followed by fwd entries (ascending by construction). Rows come out
-// sorted with NO comparison sort anywhere — at n = 10^7, d = 3 ln n that is
-// the difference between ~10 s and the minutes an edge-list sort costs, and
-// the peak footprint is the CSR itself plus the forward half (~3 GB),
-// never a 24-byte-per-edge sort buffer.
+// every forward stream as one ascending run per node, and
+// Graph::from_sorted_runs places them — the same counting placement every
+// materialized G(n,p) producer uses, with NO comparison sort anywhere. At
+// n = 10^7, d = 3 ln n that is the difference between ~10 s and the minutes
+// an edge-list sort costs, and the peak footprint is the CSR itself plus
+// the forward half (~3 GB), never a 24-byte-per-edge sort buffer.
 //
 // After the index is built every accessor is const, allocation-free and
 // thread-safe; spans returned by neighbors() are stable for the lifetime of
@@ -56,16 +55,14 @@ class ImplicitGnp {
   /// Degree of v (builds the index on first call).
   NodeId degree(NodeId v) const {
     ensure_index();
-    return static_cast<NodeId>(index_->offsets[v + 1] - index_->offsets[v]);
+    return index_->graph.degree(v);
   }
 
   /// Sorted neighbors of v; the span stays valid while any copy of this
   /// backend is alive.
   std::span<const NodeId> neighbors(NodeId v) const {
     ensure_index();
-    return {index_->adj.data() + index_->offsets[v],
-            static_cast<std::size_t>(index_->offsets[v + 1] -
-                                     index_->offsets[v])};
+    return index_->graph.neighbors(v);
   }
 
   /// O(log deg) membership test.
@@ -74,7 +71,7 @@ class ImplicitGnp {
   /// Number of undirected edges (builds the index).
   EdgeCount num_edges() const {
     ensure_index();
-    return index_->adj.size() / 2;
+    return index_->graph.num_edges();
   }
 
   /// The forward stream fwd(v) alone, regenerated from its substream without
@@ -89,8 +86,7 @@ class ImplicitGnp {
  private:
   struct Index {
     std::once_flag once;
-    std::vector<EdgeCount> offsets;  ///< size n+1
-    std::vector<NodeId> adj;         ///< size 2m, sorted within each node
+    Graph graph;  ///< the full symmetric CSR
   };
 
   void ensure_index() const;

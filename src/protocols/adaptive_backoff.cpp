@@ -35,8 +35,9 @@ void AdaptiveBackoffProtocol::select_transmitters(
     std::vector<NodeId>& out) {
   RADIO_EXPECTS(q_.size() == session.num_nodes());
   const double g = gate(round);
-  for (NodeId v = 0; v < session.num_nodes(); ++v)
-    if (session.informed(v) && rng.bernoulli(q_[v] * g)) out.push_back(v);
+  session.informed_set().for_each_set([&](std::size_t v) {
+    if (rng.bernoulli(q_[v] * g)) out.push_back(static_cast<NodeId>(v));
+  });
 }
 
 void AdaptiveBackoffProtocol::observe(

@@ -24,11 +24,7 @@ void DecayProtocol::select_transmitters(std::uint32_t round,
     // Informed nodes become active, in ascending id order (the same order
     // the per-node scan visited them, preserving the draw sequence).
     active_.clear();
-    const std::span<const std::uint64_t> words = session.informed_set().words();
-    for (std::size_t wi = 0; wi < words.size(); ++wi)
-      for_each_set_bit(words[wi], wi * 64, [&](std::size_t v) {
-        active_.push_back(static_cast<NodeId>(v));
-      });
+    session.informed_set().collect(active_);
   }
   // Every active node transmits, then survives into the next round of the
   // phase with probability 1/2; the in-place compaction keeps ids ascending.

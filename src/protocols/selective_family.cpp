@@ -47,8 +47,10 @@ void SelectiveFamilyProtocol::select_transmitters(
   RADIO_EXPECTS(!family_.rounds.empty());
   const ModularFamily::Round& r =
       family_.rounds[(round - 1) % family_.rounds.size()];
-  for (NodeId v = 0; v < session.num_nodes(); ++v)
-    if (session.informed(v) && ModularFamily::selects(r, v)) out.push_back(v);
+  session.informed_set().for_each_set([&](std::size_t i) {
+    const auto v = static_cast<NodeId>(i);
+    if (ModularFamily::selects(r, v)) out.push_back(v);
+  });
 }
 
 }  // namespace radio

@@ -19,8 +19,9 @@ void UniformGossipProtocol::reset(const ProtocolContext& ctx) {
 void UniformGossipProtocol::select_transmitters(
     std::uint32_t, const SessionView& session, Rng& rng,
     std::vector<NodeId>& out) {
-  for (NodeId v = 0; v < session.num_nodes(); ++v)
-    if (session.informed(v) && rng.bernoulli(q_)) out.push_back(v);
+  session.informed_set().for_each_set([&](std::size_t v) {
+    if (rng.bernoulli(q_)) out.push_back(static_cast<NodeId>(v));
+  });
 }
 
 }  // namespace radio

@@ -53,10 +53,6 @@ enum class RoundPath : std::uint8_t {
   kDense = 1,   ///< word-parallel bitmap kernel
 };
 
-/// Adjacency bitmaps cost n·⌈n/64⌉·8 bytes; above this cap the auto path
-/// never builds one (≈ 1 GiB ⇒ n ≲ 92k nodes).
-inline constexpr std::size_t kDenseBitmapByteLimit = std::size_t{1} << 30;
-
 /// Σ deg(t) over the transmitter set — the sparse path's exact work measure.
 EdgeCount sum_transmitter_degrees(const Graph& g,
                                   std::span<const NodeId> transmitters) noexcept;
@@ -64,16 +60,14 @@ EdgeCount sum_transmitter_degrees(const Graph& g,
 /// Cost model: true when the word-parallel kernel is expected to beat the
 /// sparse sweep. `sum_deg` is Σ deg(t); the kernel moves roughly
 /// (num_tx + 4)·⌈n/64⌉ words (accumulation plus the classification sweeps),
-/// and one sequential word op is calibrated at ~2 random neighbor touches.
+/// each priced at kTouchesPerBitmapWord random neighbor touches (graph.hpp,
+/// which generate_gnp_bitmap reads too). Never when the bitmap would not fit.
 inline bool dense_round_pays(NodeId n, std::size_t num_tx,
                              EdgeCount sum_deg) noexcept {
-  if (num_tx == 0) return false;
+  if (num_tx == 0 || !bitmap_fits(n)) return false;
   const auto wpr = static_cast<EdgeCount>((static_cast<std::size_t>(n) + 63) / 64);
-  const std::size_t bitmap_bytes =
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(wpr) *
-      sizeof(std::uint64_t);
-  if (bitmap_bytes > kDenseBitmapByteLimit) return false;
-  return sum_deg > 2 * (static_cast<EdgeCount>(num_tx) + 4) * wpr;
+  return sum_deg >
+         kTouchesPerBitmapWord * (static_cast<EdgeCount>(num_tx) + 4) * wpr;
 }
 
 /// The once/twice accumulators, the dirty-word index and the transmitter

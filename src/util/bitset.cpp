@@ -37,14 +37,8 @@ bool Bitset::all() const noexcept {
 }
 
 void Bitset::collect(std::vector<std::uint32_t>& out) const {
-  for (std::size_t wi = 0; wi < words_.size(); ++wi) {
-    std::uint64_t w = words_[wi];
-    while (w != 0) {
-      const int bit = std::countr_zero(w);
-      out.push_back(static_cast<std::uint32_t>(wi * 64 + bit));
-      w &= w - 1;
-    }
-  }
+  for_each_set(
+      [&](std::size_t i) { out.push_back(static_cast<std::uint32_t>(i)); });
 }
 
 std::size_t Bitset::set_union(const Bitset& other) noexcept {

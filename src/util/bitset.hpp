@@ -110,6 +110,14 @@ class Bitset {
   /// True iff every bit in [0, size) is set.
   bool all() const noexcept;
 
+  /// Calls fn(i) for every set bit i in increasing order, one word test per
+  /// 64 bits: a sparse set costs O(n/64 + count), not O(n) bit tests.
+  template <class Fn>
+  void for_each_set(Fn&& fn) const {
+    for (std::size_t wi = 0; wi < words_.size(); ++wi)
+      for_each_set_bit(words_[wi], wi * 64, fn);
+  }
+
   /// Appends the indices of all set bits to `out` in increasing order.
   void collect(std::vector<std::uint32_t>& out) const;
 

@@ -23,11 +23,16 @@ std::uint64_t Xoshiro256StarStar::uniform_below(std::uint64_t bound) noexcept {
 }
 
 std::uint64_t Xoshiro256StarStar::geometric_skips(double p) noexcept {
+  return geometric_skips(p, std::log1p(-p));
+}
+
+std::uint64_t Xoshiro256StarStar::geometric_skips(double p,
+                                                  double log_q) noexcept {
   RADIO_EXPECTS(p > 0.0 && p <= 1.0);
   if (p >= 1.0) return 0;
   // Inverse CDF: floor(log(U) / log(1-p)) with U in (0, 1].
   const double u = 1.0 - uniform();  // avoid log(0)
-  const double skips = std::floor(std::log(u) / std::log1p(-p));
+  const double skips = std::floor(std::log(u) / log_q);
   // A single skip never needs to exceed ~2^63 in any realistic sweep; clamp
   // defensively so the cast below is well defined.
   if (skips >= 9.0e18) return 9'000'000'000'000'000'000ULL;
@@ -45,11 +50,12 @@ std::uint64_t Xoshiro256StarStar::binomial(std::uint64_t n, double p) noexcept {
   if (mean < 32.0) {
     // Count successes by jumping between them geometrically: expected work
     // O(np), exact distribution.
+    const double log_q = std::log1p(-q);
     std::uint64_t count = 0;
-    std::uint64_t pos = geometric_skips(q);
+    std::uint64_t pos = geometric_skips(q, log_q);
     while (pos < n) {
       ++count;
-      pos += 1 + geometric_skips(q);
+      pos += 1 + geometric_skips(q, log_q);
     }
     draw = count;
   } else {

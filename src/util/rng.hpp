@@ -111,6 +111,12 @@ class Xoshiro256StarStar {
   /// probability p in (0, 1]. Used by the G(n,p) skip sampler.
   std::uint64_t geometric_skips(double p) noexcept;
 
+  /// The same draw with log1p(-p) computed once by the caller: a skip walk
+  /// draws one skip per edge at a fixed p, and recomputing the log costs
+  /// about a third of each draw. Bit-identical to geometric_skips(p) when
+  /// log_q == std::log1p(-p).
+  std::uint64_t geometric_skips(double p, double log_q) noexcept;
+
   /// Binomial(n, p) via inversion for small mean and a numerically stable
   /// normal-tail hybrid otherwise. Exact distribution is not required by any
   /// algorithm (only generators/tests), but determinism is.

@@ -1,15 +1,19 @@
 // Random graph generators: edge-count concentration, determinism, dense and
-// sparse paths, G(n,m) exactness, connectivity helpers.
+// sparse paths, G(n,m) exactness, connectivity helpers, and the sort-free
+// CSR assembly every G(n,p) producer goes through.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "graph/components.hpp"
 #include "graph/degree.hpp"
+#include "graph/implicit_gnp.hpp"
 #include "graph/random_graph.hpp"
+#include "util/bitset.hpp"
 
 namespace radio {
 namespace {
@@ -397,6 +401,235 @@ INSTANTIATE_TEST_SUITE_P(
                                          GraphBackendChoice::kBitmap,
                                          GraphBackendChoice::kImplicit),
                        ::testing::Values(0.005, 0.05, 0.49, 0.51, 0.9)));
+
+// ---------------------------------------------------------------------------
+// Sort-free CSR assembly. Every G(n,p) producer hands its draws to
+// Graph::from_sorted_runs (or, above the dense-round line, to from_bitmap);
+// each must build exactly Graph::from_edges of the pairs it drew, and leave
+// the Rng where a test-side draw of those pairs leaves it.
+// ---------------------------------------------------------------------------
+
+/// A graph's (offsets, adj) arrays, read back through the public API.
+struct Csr {
+  std::vector<EdgeCount> offsets;
+  std::vector<NodeId> adj;
+  friend bool operator==(const Csr&, const Csr&) = default;
+};
+
+Csr csr_of(const Graph& g) {
+  Csr csr;
+  csr.offsets.push_back(0);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    csr.offsets.push_back(csr.offsets.back() + g.degree(v));
+    for (const NodeId w : g.neighbors(v)) csr.adj.push_back(w);
+  }
+  return csr;
+}
+
+/// FNV-1a over the little-endian bytes of offsets (8 each), then adj (4).
+std::uint64_t csr_digest(const Graph& g) {
+  const Csr csr = csr_of(g);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (value >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const EdgeCount offset : csr.offsets) mix(offset, 8);
+  for (const NodeId w : csr.adj) mix(w, 4);
+  return h;
+}
+
+/// Test-side skip walk: every kept pair index decoded on its own (no row
+/// walk), each skip through the one-argument geometric_skips (no hoisted
+/// log).
+std::vector<Edge> skip_walk_pairs(NodeId n, double p, Rng& rng) {
+  std::vector<Edge> pairs;
+  if (p <= 0.0 || n < 2) return pairs;
+  const std::uint64_t total = pair_linear_index(0, n);
+  std::uint64_t idx = 0;
+  for (;;) {
+    const std::uint64_t skip = rng.geometric_skips(p);
+    if (skip >= total - idx) break;
+    idx += skip;
+    pairs.push_back(pair_from_linear_index(idx));
+    ++idx;
+  }
+  return pairs;
+}
+
+/// Test-side word sampler: row v of the lower triangle is ⌈v/64⌉ words,
+/// bit b of word k standing for column 64k + b (kept when < v).
+std::vector<Edge> word_pairs(NodeId n, double p, Rng& rng) {
+  std::vector<Edge> pairs;
+  BernoulliWordGen gen(p, rng);
+  for (NodeId v = 1; v < n; ++v)
+    for (std::size_t k = 0; k < words_for_bits(v); ++k) {
+      const std::uint64_t word = gen.next_word();
+      for (NodeId b = 0; b < 64; ++b) {
+        const auto u = static_cast<NodeId>(64 * k + b);
+        if (u < v && ((word >> b) & 1)) pairs.push_back(Edge{u, v});
+      }
+    }
+  return pairs;
+}
+
+/// generate_gnp's p > 1/2 draw: a skip walk at 1 − p picks the non-edges.
+std::vector<Edge> complement_pairs(NodeId n, double p, Rng& rng) {
+  const std::vector<Edge> non_edges = skip_walk_pairs(n, 1.0 - p, rng);
+  std::vector<Edge> pairs;
+  std::size_t next = 0;
+  for (NodeId v = 1; v < n; ++v)
+    for (NodeId u = 0; u < v; ++u) {
+      if (next < non_edges.size() && non_edges[next] == Edge{u, v})
+        ++next;
+      else
+        pairs.push_back(Edge{u, v});
+    }
+  return pairs;
+}
+
+/// The pairs generate_gnp_backend(choice) draws at test sizes (where every
+/// bitmap fits).
+std::vector<Edge> oracle_pairs(NodeId n, double p, GraphBackendChoice choice,
+                               Rng& rng) {
+  const bool words = choice == GraphBackendChoice::kBitmap ||
+                     (choice == GraphBackendChoice::kAuto && p >= 1.0 / 64.0);
+  if (words) return word_pairs(n, p, rng);
+  if (p > 0.5) return complement_pairs(n, p, rng);
+  return skip_walk_pairs(n, p, rng);
+}
+
+class AssemblySweep
+    : public ::testing::TestWithParam<std::tuple<NodeId, GraphBackendChoice>> {
+};
+
+TEST_P(AssemblySweep, ProducerEqualsFromEdgesOfTheSamePairs) {
+  const auto [n, choice] = GetParam();
+  // Either side of the word sampler's 1/64 switch and of the degree line
+  // (kTouchesPerBitmapWord·⌈n/64⌉) above which it keeps its bitmap.
+  const double line =
+      static_cast<double>(kTouchesPerBitmapWord * words_for_bits(n)) /
+      static_cast<double>(n);
+  std::vector<double> probabilities = {0.0, 1e-3, 0.99 / 64.0, 1.01 / 64.0,
+                                       0.99 * line};
+  if (1.01 * line <= 1.0) probabilities.push_back(1.01 * line);
+  // The dense draws stop at n = 257 (five words per row): at n = 4133 each
+  // would sort millions of oracle edges.
+  if (n <= 257) probabilities.insert(probabilities.end(), {0.5, 0.9, 1.0});
+  for (const double p : probabilities) {
+    SCOPED_TRACE(::testing::Message() << "p = " << p);
+    const std::uint64_t seed = 1400 + n;
+    Rng producer_rng(seed), oracle_rng(seed);
+    const Graph g = generate_gnp_backend({n, p}, producer_rng, choice);
+    const Graph expected =
+        Graph::from_edges(n, oracle_pairs(n, p, choice, oracle_rng));
+    EXPECT_EQ(csr_of(g), csr_of(expected));
+    EXPECT_EQ(producer_rng(), oracle_rng());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SizesAndChoices, AssemblySweep,
+    ::testing::Combine(::testing::Values(NodeId{2}, NodeId{63}, NodeId{64},
+                                         NodeId{65}, NodeId{257},
+                                         NodeId{4133}),
+                       ::testing::Values(GraphBackendChoice::kCsr,
+                                         GraphBackendChoice::kBitmap,
+                                         GraphBackendChoice::kAuto)),
+    [](const ::testing::TestParamInfo<AssemblySweep::ParamType>& pinfo) {
+      return "n" + std::to_string(std::get<0>(pinfo.param)) + "_" +
+             to_string(std::get<1>(pinfo.param));
+    });
+
+TEST(ImplicitAssembly, MaterializeEqualsFromEdgesOfForwardStreams) {
+  for (const NodeId n : {NodeId{2}, NodeId{63}, NodeId{64}, NodeId{65},
+                         NodeId{257}, NodeId{4133}}) {
+    for (const double p : {0.0, 1e-3, 0.05, 1.0}) {
+      if (p == 1.0 && n > 257) continue;  // 8.5M edges: covered at n = 257
+      SCOPED_TRACE(::testing::Message() << "n = " << n << ", p = " << p);
+      const ImplicitGnp g(n, p, 1500 + n);
+      std::vector<Edge> pairs;
+      for (NodeId v = 0; v < n; ++v)
+        for (const NodeId w : g.forward_neighbors(v))
+          pairs.push_back(Edge{v, w});
+      EXPECT_EQ(csr_of(g.materialize()), csr_of(Graph::from_edges(n, pairs)));
+    }
+  }
+}
+
+// FNV-1a digests of (offsets, adj), one case per assembly, recorded with the
+// edge-sorting assembly this one replaced. A change to any draw or to the
+// placement order fails here loudly.
+TEST(AssemblyGolden, DigestsMatchTheSortingAssembly) {
+  struct Case {
+    const char* name;
+    NodeId n;
+    double p;
+    std::uint64_t seed;
+    GraphBackendChoice choice;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"skip walk, lower runs", 4133, 0.003, 1501, GraphBackendChoice::kCsr,
+       0xb81d305ec4d09177ULL},
+      {"word sampler, lower runs", 4096, 0.0169, 1502,
+       GraphBackendChoice::kAuto, 0xe2a8ff2bbdd89a44ULL},
+      {"word sampler, mirrored bitmap", 2053, 0.2, 1503,
+       GraphBackendChoice::kBitmap, 0x5f2eb950984cfbe9ULL},
+      {"complement walk, bitmap", 777, 0.85, 1504, GraphBackendChoice::kCsr,
+       0xa38b51c7d0e6d73cULL},
+  };
+  for (const Case& c : cases) {
+    Rng rng(c.seed);
+    EXPECT_EQ(csr_digest(generate_gnp_backend({c.n, c.p}, rng, c.choice)),
+              c.digest)
+        << c.name;
+  }
+  EXPECT_EQ(csr_digest(ImplicitGnp(4133, 0.004, 1505).materialize()),
+            0xb09c0b181ee7ae8aULL)
+      << "implicit, forward runs";
+}
+
+TEST(SortedRuns, BothSidesMatchFromEdges) {
+  // Edges {0,2}, {1,2}, {1,3} listed once each, from either endpoint.
+  const Graph expected = Graph::from_edges(4, {{0, 2}, {1, 2}, {1, 3}});
+  const std::vector<EdgeCount> below_offsets = {0, 0, 0, 2, 3};
+  const std::vector<NodeId> below_runs = {0, 1, 1};
+  EXPECT_EQ(csr_of(Graph::from_sorted_runs(4, Graph::RunSide::kBelow,
+                                           below_offsets, below_runs)),
+            csr_of(expected));
+  const std::vector<EdgeCount> above_offsets = {0, 1, 3, 3, 3};
+  const std::vector<NodeId> above_runs = {2, 2, 3};
+  EXPECT_EQ(csr_of(Graph::from_sorted_runs(4, Graph::RunSide::kAbove,
+                                           above_offsets, above_runs)),
+            csr_of(expected));
+  const std::vector<EdgeCount> empty_offsets = {0};
+  EXPECT_EQ(Graph::from_sorted_runs(0, Graph::RunSide::kBelow, empty_offsets,
+                                    {})
+                .num_nodes(),
+            0u);
+}
+
+TEST(SortedRunsDeathTest, RejectsEntriesThatBreakRowOrder) {
+  // run(2) holds two entries and run(3) one, all below their owners.
+  const std::vector<EdgeCount> offsets = {0, 0, 0, 2, 3};
+  const auto build = [&](std::vector<NodeId> runs, Graph::RunSide side) {
+    return Graph::from_sorted_runs(4, side, offsets, runs);
+  };
+  const auto below = Graph::RunSide::kBelow;
+  EXPECT_DEATH((void)build({1, 0, 1}, below), "precondition");  // descending
+  EXPECT_DEATH((void)build({1, 1, 1}, below), "precondition");  // duplicate
+  EXPECT_DEATH((void)build({0, 2, 1}, below), "precondition");  // self-loop
+  EXPECT_DEATH((void)build({0, 3, 1}, below), "precondition");  // wrong side
+  // run(0) = {1, 4} above its owner, but 4 is not a node of a 4-node graph.
+  const std::vector<EdgeCount> above_offsets = {0, 2, 2, 2, 2};
+  const std::vector<NodeId> out_of_range = {1, 4};
+  EXPECT_DEATH((void)Graph::from_sorted_runs(4, Graph::RunSide::kAbove,
+                                             above_offsets, out_of_range),
+               "precondition");
+}
 
 TEST(GraphBackendName, StrictParse) {
   EXPECT_EQ(graph_backend_from_name("auto"), GraphBackendChoice::kAuto);
