@@ -1,9 +1,8 @@
-// radio_bench — the unified experiment runner. One binary subsumes the 15
-// per-experiment bench wrappers: `radio_bench list`, `radio_bench run E3 E7
-// --trials 32 --seed 7 --out results/`, `radio_bench run --all`. Tables and
-// CSVs are byte-identical to the legacy bench_e* output; --out additionally
-// records per-experiment manifests and a JSONL metrics stream. Regeneration
-// workflow: docs/experiments.md.
+// radio_bench — the experiment runner: `radio_bench list`, `radio_bench run
+// E3 E7 --trials 32 --seed 7 --out results/`, `radio_bench run --all`.
+// Tables print to stdout; --out additionally records per-experiment
+// manifests and a JSONL metrics stream. Regeneration workflow:
+// docs/experiments.md.
 #include "analysis/bench_runner.hpp"
 
 int main(int argc, char** argv) { return radio::run_bench_cli(argc, argv); }

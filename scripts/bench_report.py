@@ -5,32 +5,32 @@ Reads every ``*.manifest.json`` a ``radio_bench run ... --out DIR`` left in
 DIR (schema: DESIGN.md "Observability & provenance") and either
 
   * validates them (``--check``): each manifest parses, carries the expected
-    schema version, and the directory covers all 15 experiment ids — the CI
+    schema version, and the directory covers all 18 experiment ids — the CI
     smoke gate wired into scripts/ci.sh; or
   * appends one trajectory entry to a ``BENCH_run.json`` file
     (``--bench-json PATH``): per-experiment wall-clock and row counts plus
     shared provenance, the repo's perf record future PRs regress against.
 
-With ``--batch-sweep SWEEP_JSON`` the trajectory entry additionally records
-the sim/batch throughput table: SWEEP_JSON is the output of
+With ``--layers LAYERS_JSON``, the output of
 
-  bench/bench_batch_sweep --benchmark_format=json --benchmark_out=SWEEP_JSON
+  bench/bench_layers --benchmark_format=json --benchmark_out=LAYERS_JSON
 
-and the entry gains a ``batch_sweep`` list of {n, lanes, trials/sec both
-ways, speedup} rows — the instance-parallel core's perf record.
+the entry additionally records whichever of these two tables the dump
+holds (it is an error when it holds neither):
 
-With ``--gen-sweep GEN_JSON`` (the output of ``bench/bench_graph_gen
---benchmark_format=json``) the entry gains a ``graph_gen`` list of
-{path, n, ms, edges/sec} rows: generation throughput of the CSR and bitmap
-producers at d = n^0.75, of the auto cost model at d = ln² n (path
-``auto``), plus the implicit backend's index-build time vs n.
+  * ``graph_gen``: {path, n, ms, edges/sec} rows — generation throughput of
+    the CSR and bitmap producers at d = n^0.75, of the auto cost model at
+    d = ln² n (path ``auto``), plus the implicit backend's index-build time
+    vs n;
+  * ``batch_sweep``: {n, lanes, trials/sec both ways, speedup} rows — the
+    sim/batch instance-parallel core against the per-instance path.
 
 Standard library only; no third-party imports.
 
 Usage:
   python3 scripts/bench_report.py --check OUT_DIR
   python3 scripts/bench_report.py OUT_DIR --bench-json BENCH_run.json \
-      [--batch-sweep sweep.json] [--gen-sweep gen.json]
+      [--layers layers.json]
 """
 
 from __future__ import annotations
@@ -193,14 +193,10 @@ def trajectory_entry(manifests: dict[str, dict]) -> dict:
     return entry
 
 
-def batch_sweep_rows(sweep_json: pathlib.Path) -> list[dict]:
+def batch_sweep_rows(doc: dict) -> list[dict]:
     """Pairs BM_BatchSweep/{n}/{lanes} with its BM_PerInstanceSweep/{n}
     baseline from a google-benchmark JSON dump and reports trials/sec and
     the batched-over-per-instance speedup per configuration."""
-    try:
-        doc = json.loads(sweep_json.read_text())
-    except json.JSONDecodeError as err:
-        raise SystemExit(f"error: {sweep_json} is not valid JSON: {err}")
     per_instance: dict[int, float] = {}
     batched: dict[tuple[int, int], float] = {}
     for bench in doc.get("benchmarks", []):
@@ -213,7 +209,7 @@ def batch_sweep_rows(sweep_json: pathlib.Path) -> list[dict]:
             per_instance[int(parts[1])] = float(rate)
         elif parts[0] == "BM_BatchSweep" and len(parts) == 3:
             batched[(int(parts[1]), int(parts[2]))] = float(rate)
-    rows = [
+    return [
         {
             "n": n,
             "lanes": lanes,
@@ -224,11 +220,6 @@ def batch_sweep_rows(sweep_json: pathlib.Path) -> list[dict]:
         for (n, lanes), rate in sorted(batched.items())
         if n in per_instance and per_instance[n] > 0
     ]
-    if not rows:
-        raise SystemExit(
-            f"error: {sweep_json} has no pairable BM_BatchSweep /"
-            " BM_PerInstanceSweep entries")
-    return rows
 
 
 GEN_BENCH_PATHS = {
@@ -239,13 +230,9 @@ GEN_BENCH_PATHS = {
 }
 
 
-def gen_sweep_rows(gen_json: pathlib.Path) -> list[dict]:
-    """Extracts {path, n, ms, edges/sec} rows from a bench_graph_gen
-    google-benchmark JSON dump — generation time vs n per production path."""
-    try:
-        doc = json.loads(gen_json.read_text())
-    except json.JSONDecodeError as err:
-        raise SystemExit(f"error: {gen_json} is not valid JSON: {err}")
+def gen_sweep_rows(doc: dict) -> list[dict]:
+    """Extracts {path, n, ms, edges/sec} rows from a google-benchmark JSON
+    dump — generation time vs n per production path."""
     rows = []
     for bench in doc.get("benchmarks", []):
         parts = bench.get("name", "").split("/")
@@ -262,11 +249,26 @@ def gen_sweep_rows(gen_json: pathlib.Path) -> list[dict]:
             "ms": round(float(real_time), 3),  # benchmark unit is ms
             "edges_per_s": round(float(rate), 2),
         })
-    if not rows:
-        raise SystemExit(
-            f"error: {gen_json} has no BM_GenerateCsr / BM_GenerateBitmap /"
-            " BM_GenerateAuto / BM_ImplicitIndex entries")
     return sorted(rows, key=lambda r: (r["path"], r["n"]))
+
+
+def layer_tables(layers_json: pathlib.Path) -> dict[str, list[dict]]:
+    """The graph_gen and batch_sweep tables a bench_layers JSON dump holds,
+    keyed by their BENCH_run.json entry names; an error when it holds
+    neither."""
+    try:
+        doc = json.loads(layers_json.read_text())
+    except json.JSONDecodeError as err:
+        raise SystemExit(f"error: {layers_json} is not valid JSON: {err}")
+    tables = {"batch_sweep": batch_sweep_rows(doc),
+              "graph_gen": gen_sweep_rows(doc)}
+    tables = {name: rows for name, rows in tables.items() if rows}
+    if not tables:
+        raise SystemExit(
+            f"error: {layers_json} has neither {' / '.join(GEN_BENCH_PATHS)}"
+            " entries nor pairable BM_BatchSweep / BM_PerInstanceSweep"
+            " entries")
+    return tables
 
 
 def append_entry(bench_json: pathlib.Path, entry: dict) -> None:
@@ -295,12 +297,10 @@ def main(argv: list[str]) -> int:
                              " single-experiment smoke run)")
     parser.add_argument("--bench-json", type=pathlib.Path,
                         help="append a trajectory entry to this file")
-    parser.add_argument("--batch-sweep", type=pathlib.Path,
-                        help="bench_batch_sweep --benchmark_format=json "
-                             "output to fold into the entry")
-    parser.add_argument("--gen-sweep", type=pathlib.Path,
-                        help="bench_graph_gen --benchmark_format=json "
-                             "output to fold into the entry")
+    parser.add_argument("--layers", type=pathlib.Path,
+                        help="bench_layers --benchmark_format=json output"
+                             " whose graph_gen and batch_sweep tables to"
+                             " fold into the entry")
     args = parser.parse_args(argv)
 
     if not args.out_dir.is_dir():
@@ -315,10 +315,8 @@ def main(argv: list[str]) -> int:
     if args.bench_json is None:
         raise SystemExit("error: pass --check or --bench-json PATH")
     entry = trajectory_entry(manifests)
-    if args.batch_sweep is not None:
-        entry["batch_sweep"] = batch_sweep_rows(args.batch_sweep)
-    if args.gen_sweep is not None:
-        entry["graph_gen"] = gen_sweep_rows(args.gen_sweep)
+    if args.layers is not None:
+        entry.update(layer_tables(args.layers))
     append_entry(args.bench_json, entry)
     return 0
 

@@ -100,12 +100,35 @@ echo "ci: byte-identity smoke ok (E3, E8, E18 vs tests/golden)" >&2
 if "$BUILD_DIR/bench/radio_bench" run E1 --trials=abc 2>/dev/null; then
   echo "ci: radio_bench accepted --trials=abc" >&2; exit 1
 fi
+if "$BUILD_DIR/bench/radio_bench" run E1 --trails 2 2>/dev/null; then
+  echo "ci: radio_bench accepted the misspelt flag --trails" >&2; exit 1
+fi
 if RADIO_TRIALS=junk "$BUILD_DIR/bench/radio_bench" run E1 2>/dev/null; then
   echo "ci: radio_bench accepted RADIO_TRIALS=junk" >&2; exit 1
 fi
 if "$BUILD_DIR/bench/radio_bench" run E2 --graph-backend=dense 2>/dev/null; then
   echo "ci: radio_bench accepted --graph-backend=dense" >&2; exit 1
 fi
+
+# bench_layers must keep registering every benchmark bench_report.py
+# --layers folds into BENCH_run.json (its GEN_BENCH_PATHS keys and the batch
+# sweep pair), or those tables would silently drop out. Listing suffices:
+# the sweep itself takes about 30 s even at --benchmark_min_time=0.01.
+"$BUILD_DIR/bench/bench_layers" --benchmark_list_tests=true \
+  > "$SMOKE_DIR/layers.txt"
+python3 - "$SMOKE_DIR/layers.txt" <<'PY'
+import pathlib, sys
+sys.path.insert(0, "scripts")
+from bench_report import GEN_BENCH_PATHS
+listed = {name.split("/")[0]
+          for name in pathlib.Path(sys.argv[1]).read_text().split()}
+folded = set(GEN_BENCH_PATHS) | {"BM_BatchSweep", "BM_PerInstanceSweep"}
+missing = sorted(folded - listed)
+if missing:
+    sys.exit(f"ci: bench_layers does not register {missing}")
+print(f"ci: bench_layers registers all {len(folded)} folded benchmarks",
+      file=sys.stderr)
+PY
 
 # -------------------------------------------------------- perfbench audits
 # The benchmark's own correctness checks (perfbench/README.md): sampled

@@ -5,7 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
-#include "util/parse.hpp"
+#include "graph/backend.hpp"
+#include "util/cli.hpp"
 
 namespace radio {
 namespace {
@@ -28,19 +29,12 @@ std::string uppercase_id(const std::string& id) {
   return out;
 }
 
-/// Fetches the value of flag `name`, accepting both `--name value` and
-/// `--name=value`. `arg` is the current token; `i` advances past a separate
-/// value token.
-std::string flag_value(const std::string& name, const std::string& arg,
-                       const std::vector<std::string>& args, std::size_t& i) {
-  const std::string prefix = name + "=";
-  if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-  if (i + 1 >= args.size()) usage_error(name + " requires a value");
-  return args[++i];
-}
-
-bool matches_flag(const std::string& arg, const std::string& name) {
-  return arg == name || arg.rfind(name + "=", 0) == 0;
+/// The value of directory flag `name`, rejecting an explicit empty one.
+std::string dir_flag(const CliArgs& cli, const std::string& name) {
+  std::string dir = cli.get_string(name, "");
+  if (cli.has(name) && dir.empty())
+    usage_error("--" + name + " requires a directory");
+  return dir;
 }
 
 }  // namespace
@@ -65,57 +59,46 @@ BenchCommand parse_bench_command(const std::vector<std::string>& args) {
   }
   if (verb != "run")
     usage_error("unknown command '" + verb + "' (expected list or run)");
-
   command.action = BenchCommand::Action::kRun;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (arg == "--all") {
-      command.all = true;
-    } else if (matches_flag(arg, "--trials")) {
-      const std::string value = flag_value("--trials", arg, args, i);
-      command.trials = static_cast<int>(
-          parse_int(value, "--trials", 1, std::numeric_limits<int>::max())
-              .value_or_throw());
-    } else if (matches_flag(arg, "--seed")) {
-      const std::string value = flag_value("--seed", arg, args, i);
-      command.seed = parse_u64(value, "--seed").value_or_throw();
-    } else if (arg == "--full") {
-      command.full = true;
-    } else if (arg == "--quick") {
-      command.full = false;
-    } else if (matches_flag(arg, "--batch")) {
-      const std::string value = flag_value("--batch", arg, args, i);
-      command.batch = static_cast<int>(
-          parse_int(value, "--batch", 1, 4096).value_or_throw());
-    } else if (matches_flag(arg, "--rate")) {
-      const std::string value = flag_value("--rate", arg, args, i);
-      command.rate = parse_double(value, "--rate", 1e-9, 1e9).value_or_throw();
-    } else if (matches_flag(arg, "--horizon")) {
-      const std::string value = flag_value("--horizon", arg, args, i);
-      command.horizon = static_cast<int>(
-          parse_int(value, "--horizon", 1, 100'000'000).value_or_throw());
-    } else if (matches_flag(arg, "--graph-backend")) {
-      const std::string value = flag_value("--graph-backend", arg, args, i);
-      const auto choice = graph_backend_from_name(value);
-      if (!choice)
-        usage_error("--graph-backend: '" + value +
-                    "' is not a graph backend (expected auto, csr, bitmap or "
-                    "implicit)");
-      command.graph_backend = *choice;
-    } else if (matches_flag(arg, "--out")) {
-      command.out_dir = flag_value("--out", arg, args, i);
-      if (command.out_dir.empty()) usage_error("--out requires a directory");
-    } else if (matches_flag(arg, "--csv")) {
-      command.csv_dir = flag_value("--csv", arg, args, i);
-      if (command.csv_dir.empty()) usage_error("--csv requires a directory");
-    } else if (arg.rfind("--", 0) == 0) {
-      usage_error("unknown flag '" + arg + "'");
-    } else if (looks_like_experiment_id(arg)) {
-      command.ids.push_back(uppercase_id(arg));
-    } else {
-      usage_error("'" + arg + "' is not an experiment id (expected E1…E18)");
-    }
+
+  // CliArgs skips argv[0], which is where the verb sits.
+  std::vector<const char*> argv;
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
+  const CliArgs cli(static_cast<int>(argv.size()), argv.data(),
+                    {"all", "full", "quick"});
+
+  ExperimentConfig& config = command.config;
+  config.trials = static_cast<int>(cli.get_int(
+      "trials", config.trials, 1, std::numeric_limits<int>::max()));
+  config.seed = cli.get_uint("seed", config.seed);
+  const bool full = cli.get_bool("full", false);
+  const bool quick = cli.get_bool("quick", false);
+  if (full && quick) usage_error("pass either --full or --quick, not both");
+  config.quick = !full;
+  config.batch = static_cast<int>(cli.get_int("batch", config.batch, 1, 4096));
+  const std::string backend =
+      cli.get_string("graph-backend", to_string(config.graph_backend));
+  const auto choice = graph_backend_from_name(backend);
+  if (!choice)
+    usage_error("--graph-backend: '" + backend +
+                "' is not a graph backend (expected auto, csr, bitmap or "
+                "implicit)");
+  config.graph_backend = *choice;
+  // A pinned rate or horizon must be positive: 0 is the "driver default"
+  // the flag's absence already means.
+  config.rate = cli.get_double("rate", config.rate, 1e-9, 1e9);
+  config.horizon = static_cast<int>(
+      cli.get_int("horizon", config.horizon, 1, 100'000'000));
+  command.out_dir = dir_flag(cli, "out");
+  command.csv_dir = dir_flag(cli, "csv");
+
+  command.all = cli.get_bool("all", false);
+  for (const std::string& id : cli.positionals()) {
+    if (!looks_like_experiment_id(id))
+      usage_error("'" + id + "' is not an experiment id (expected E1…E18)");
+    command.ids.push_back(uppercase_id(id));
   }
+  cli.validate();
   if (command.ids.empty() && !command.all)
     usage_error("run requires experiment ids or --all");
   if (!command.ids.empty() && command.all)
@@ -125,19 +108,10 @@ BenchCommand parse_bench_command(const std::vector<std::string>& args) {
 
 ExperimentConfig config_for_run(const BenchCommand& command,
                                 const std::string& id) {
-  const std::string lower = lowercase_id(id);
-  ExperimentConfig config = ExperimentConfig::from_environment(lower);
-  if (command.trials) config.trials = *command.trials;
-  if (command.seed) config.seed = *command.seed;
-  if (command.full) config.quick = !*command.full;
-  if (command.batch) config.batch = *command.batch;
-  if (command.graph_backend) config.graph_backend = *command.graph_backend;
-  if (command.rate) config.rate = *command.rate;
-  if (command.horizon) config.horizon = *command.horizon;
-  if (!command.csv_dir.empty())
-    config.csv_path = command.csv_dir + "/" + lower + ".csv";
-  else if (!command.out_dir.empty())
-    config.csv_path = command.out_dir + "/" + lower + ".csv";
+  ExperimentConfig config = command.config;
+  const std::string& dir =
+      command.csv_dir.empty() ? command.out_dir : command.csv_dir;
+  if (!dir.empty()) config.csv_path = dir + "/" + lowercase_id(id) + ".csv";
   return config;
 }
 
@@ -150,29 +124,30 @@ std::string bench_usage() {
       "  radio_bench run <ids...> [flags]      run selected experiments\n"
       "  radio_bench run --all [flags]         run every experiment\n"
       "\n"
-      "Flags (override RADIO_* environment variables):\n"
-      "  --trials N     Monte-Carlo trials per table row   (RADIO_TRIALS, 16)\n"
-      "  --seed S       base RNG seed                      (RADIO_SEED, 42)\n"
-      "  --full         large n grids                      (RADIO_FULL=1)\n"
+      "Flags:\n"
+      "  --trials N     Monte-Carlo trials per table row   (default 16)\n"
+      "  --seed S       base RNG seed                      (default 42)\n"
+      "  --full         large n grids\n"
       "  --quick        small n grids (default)\n"
-      "  --batch B      sim/batch lane width, 1–4096       (RADIO_BATCH, 1)\n"
+      "  --batch B      sim/batch lane width, 1–4096       (default 1)\n"
       "                 shared-instance probes advance B instances per\n"
       "                 sweep; results are byte-identical for any B\n"
       "  --graph-backend auto|csr|bitmap|implicit\n"
-      "                 instance representation      (RADIO_GRAPH_BACKEND,\n"
-      "                 auto). auto picks per instance via the cost model;\n"
+      "                 instance representation            (default auto)\n"
+      "                 auto picks per instance via the cost model;\n"
       "                 implicit switches backend-aware drivers (E2) to the\n"
       "                 giant-n on-demand sampler\n"
-      "  --rate L       streaming arrival rate λ, msgs/round (RADIO_RATE).\n"
+      "  --rate L       streaming arrival rate λ, msgs/round.\n"
       "                 E16–E18 only: pins the λ grid to one rate\n"
-      "  --horizon R    streaming wall rounds per trial    (RADIO_HORIZON)\n"
+      "  --horizon R    streaming wall rounds per trial.\n"
       "                 E16–E18 only: overrides the driver's horizon\n"
       "  --out DIR      write CSVs, per-experiment manifests (<id>.manifest\n"
       "                 .json) and a metrics.jsonl stream into DIR\n"
-      "  --csv DIR      write CSVs only, legacy RADIO_CSV_DIR layout\n"
+      "  --csv DIR      write CSVs only\n"
       "\n"
-      "Tables print to stdout exactly as the legacy bench_e* binaries print\n"
-      "them; runner progress goes to stderr. See docs/experiments.md.\n";
+      "Tables print to stdout; runner progress goes to stderr. The RADIO_*\n"
+      "environment variables are retired: radio_bench exits 2 while one is\n"
+      "set. See docs/experiments.md.\n";
 }
 
 }  // namespace radio

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
@@ -99,6 +100,19 @@ Json fit_json(const ModelFitNote& fit) {
   return obj;
 }
 
+/// The environment variables radio_bench read before its flags replaced
+/// them, each with its flag. A script that still sets one is refused rather
+/// than silently run with the defaults.
+constexpr struct {
+  const char* variable;
+  const char* flag;
+} kRetiredVariables[] = {
+    {"RADIO_TRIALS", "--trials"},   {"RADIO_SEED", "--seed"},
+    {"RADIO_FULL", "--full"},       {"RADIO_CSV_DIR", "--csv"},
+    {"RADIO_BATCH", "--batch"},     {"RADIO_GRAPH_BACKEND", "--graph-backend"},
+    {"RADIO_RATE", "--rate"},       {"RADIO_HORIZON", "--horizon"},
+};
+
 bool write_text_file(const std::string& path, const std::string& content) {
   std::ofstream file(path, std::ios::binary);
   if (!file) return false;
@@ -188,6 +202,16 @@ std::vector<std::string> metrics_lines(const RunRecord& record) {
 }
 
 int run_bench_cli(int argc, const char* const* argv) {
+  for (const auto& retired : kRetiredVariables) {
+    if (std::getenv(retired.variable) != nullptr) {
+      std::fprintf(stderr,
+                   "radio_bench: %s is no longer read; unset it and pass %s "
+                   "instead\n",
+                   retired.variable, retired.flag);
+      return 2;
+    }
+  }
+
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
 
@@ -253,15 +277,7 @@ int run_bench_cli(int argc, const char* const* argv) {
 
   double total_seconds = 0.0;
   for (const std::string& id : ids) {
-    ExperimentConfig config;
-    try {
-      config = config_for_run(command, id);
-    } catch (const std::exception& error) {
-      // Malformed RADIO_* environment values reject loudly (util/parse.hpp)
-      // rather than running every experiment with a silently clamped config.
-      std::fprintf(stderr, "radio_bench: %s\n", error.what());
-      return 2;
-    }
+    const ExperimentConfig config = config_for_run(command, id);
     std::fprintf(stderr, "[radio_bench] running %s (trials=%d seed=%llu %s)\n",
                  id.c_str(), config.trials,
                  static_cast<unsigned long long>(config.seed),
@@ -272,13 +288,16 @@ int run_bench_cli(int argc, const char* const* argv) {
     } catch (const std::exception& error) {
       // Drivers reject unusable configs (e.g. E7 needs --trials >= 2) with
       // a diagnostic instead of silently rewriting them; surface it as an
-      // input error, same as a malformed RADIO_* value.
+      // input error, same as a malformed flag.
       std::fprintf(stderr, "radio_bench: %s: %s\n", id.c_str(), error.what());
       return 2;
     }
     total_seconds += record.wall_seconds;
-    // Tables/notes/CSV: identical to the legacy bench_e* path.
-    record.result.present(config);
+    if (!record.result.present(config)) {
+      std::fprintf(stderr, "radio_bench: cannot write %s\n",
+                   config.csv_path.c_str());
+      return 1;
+    }
     if (structured) {
       const std::string manifest_path =
           command.out_dir + "/" + lowercase_id(id) + ".manifest.json";

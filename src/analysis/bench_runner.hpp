@@ -1,6 +1,6 @@
 // Execution engine behind `radio_bench`: resolves experiments through the
-// ExperimentRegistry, reproduces the legacy stdout/CSV output byte-for-byte
-// (tables go to stdout, runner progress to stderr), and records structured
+// ExperimentRegistry, prints each table to stdout and mirrors it to CSV
+// (runner progress goes to stderr), and records structured
 // provenance — a per-experiment `<id>.manifest.json` plus a metrics.jsonl
 // stream — when an output directory is given. Manifest schema: DESIGN.md
 // "Observability & provenance"; scripts/bench_report.py folds manifests
@@ -50,8 +50,9 @@ Json manifest_json(const RunRecord& record, const RunProvenance& provenance);
 std::vector<std::string> metrics_lines(const RunRecord& record);
 
 /// Full CLI entry point (parse → run → present → write artifacts).
-/// Returns the process exit code: 0 on success, 2 on usage/lookup errors,
-/// 1 on I/O failures.
+/// Returns the process exit code: 0 on success, 2 on usage/lookup errors
+/// or while a retired RADIO_* environment variable is set, 1 on output I/O
+/// failures.
 int run_bench_cli(int argc, const char* const* argv);
 
 }  // namespace radio

@@ -38,15 +38,6 @@ struct ExperimentConfig {
   /// Streaming horizon (wall rounds per trial) for E16–E18. 0 = driver
   /// default. Non-streaming drivers ignore it.
   int horizon = 0;
-
-  /// Reads RADIO_TRIALS / RADIO_SEED / RADIO_FULL / RADIO_CSV_DIR /
-  /// RADIO_BATCH / RADIO_GRAPH_BACKEND / RADIO_RATE / RADIO_HORIZON from the
-  /// environment so bench binaries can be scaled up without rebuilds.
-  /// `radio_bench` layers its CLI flags on top of this (bench_cli.hpp).
-  /// Malformed values throw std::runtime_error naming the variable and the
-  /// offending text (util/parse.hpp) — callers print the diagnostic and exit
-  /// non-zero rather than running with silently clamped numbers.
-  static ExperimentConfig from_environment(const std::string& experiment_id);
 };
 
 /// One named coefficient of a fitted model, e.g. {"ln n", 2.45}.
@@ -73,7 +64,7 @@ struct ExperimentNote {
 };
 
 struct ExperimentResult {
-  std::string id;    ///< "E1" … "E15"
+  std::string id;    ///< "E1" … "E18"
   std::string title;
   Table table;
   std::vector<ExperimentNote> notes;  ///< fits, shape checks, caveats
@@ -88,8 +79,9 @@ struct ExperimentResult {
   /// The typed fits among the notes, in note order.
   std::vector<const ModelFitNote*> fits() const;
 
-  /// Prints the table and notes; writes CSV if configured.
-  void present(const ExperimentConfig& config) const;
+  /// Prints the table and notes; writes CSV if configured. Returns false
+  /// when the CSV could not be written.
+  bool present(const ExperimentConfig& config) const;
 };
 
 }  // namespace radio

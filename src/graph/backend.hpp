@@ -17,11 +17,11 @@
 // lets range-for loops with early exits (`++hits > 1 → break`) stay the
 // idiom across backends.
 //
-// GraphBackendChoice is the user-facing selection knob (--graph-backend /
-// RADIO_GRAPH_BACKEND): kAuto lets the generation cost model pick per
-// instance (see generate_gnp_backend in random_graph.hpp), the others pin a
-// backend. Strings are the strict parse vocabulary used by the analysis
-// layer; junk input is rejected with exit 2 like every other knob.
+// GraphBackendChoice is the user-facing selection knob (--graph-backend):
+// kAuto lets the generation cost model pick per instance (see
+// generate_gnp_backend in random_graph.hpp), the others pin a backend.
+// Strings are the strict parse vocabulary used by the analysis layer; junk
+// input is rejected with exit 2 like every other knob.
 #pragma once
 
 #include <concepts>

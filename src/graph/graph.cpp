@@ -51,16 +51,6 @@ Graph Graph::from_edges(NodeId n, std::span<const Edge> edges) {
   return g;
 }
 
-Graph Graph::from_csr(std::vector<EdgeCount> offsets, std::vector<NodeId> adj) {
-  RADIO_EXPECTS(!offsets.empty());
-  RADIO_EXPECTS(offsets.front() == 0);
-  RADIO_EXPECTS(offsets.back() == adj.size());
-  Graph g;
-  g.offsets_ = std::move(offsets);
-  g.adj_ = std::move(adj);
-  return g;
-}
-
 Graph Graph::from_sorted_runs(NodeId n, RunSide side,
                               std::span<const EdgeCount> run_offsets,
                               std::span<const NodeId> runs) {

@@ -67,10 +67,6 @@ class Graph {
     return from_edges(n, std::span<const Edge>(edges.begin(), edges.size()));
   }
 
-  /// Builds from pre-sorted, deduplicated per-node adjacency (internal fast
-  /// path for generators that already produce both directions).
-  static Graph from_csr(std::vector<EdgeCount> offsets, std::vector<NodeId> adj);
-
   /// Builds the graph with an edge {x, y} for every y in run(x) =
   /// runs[run_offsets[x], run_offsets[x+1]), each edge listed once: every
   /// run strictly ascending and on `side` of its owner. Counting placement —

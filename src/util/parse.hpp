@@ -1,13 +1,12 @@
-// Strict parsing for every untrusted boundary: CLI flags, RADIO_* environment
-// variables, schedule/graph text files, and JSON manifests all funnel their
-// numeric and boolean tokens through these four functions.
+// Strict parsing of untrusted tokens: every numeric and boolean CLI flag
+// (util/cli.hpp) funnels through these four functions.
 //
 // Contract: a parse either yields a value or a ready-to-print one-line
-// diagnostic naming the *source* of the bad token (flag name, env var,
-// "schedule round 3", file:line) and the offending text itself — never a
-// silent clamp, a partial read, or an uncaught exception. Whole-token match
-// is required ("12kb" is an error, not 12), overflow is an error (not a
-// wrap), and doubles must be finite ("nan"/"inf"/"1e999" are rejected).
+// diagnostic naming the *source* of the bad token (a flag name) and the
+// offending text itself — never a silent clamp, a partial read, or an
+// uncaught exception. Whole-token match is required ("12kb" is an error,
+// not 12), overflow is an error (not a wrap), and doubles must be finite
+// ("nan"/"inf"/"1e999" are rejected).
 #pragma once
 
 #include <cstdint>
@@ -43,7 +42,7 @@ class Parsed {
 
   /// Value, or throws std::runtime_error carrying the diagnostic — the
   /// one-liner for callers whose error path is already exception-shaped
-  /// (CliArgs, bench_cli, from_environment).
+  /// (CliArgs).
   const T& value_or_throw() const;
 
  private:

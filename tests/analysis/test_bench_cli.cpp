@@ -1,46 +1,39 @@
-// radio_bench CLI parsing and config layering: defaults < RADIO_* env vars
-// < CLI flags, with the CSV destination precedence --csv > --out >
-// RADIO_CSV_DIR documented in docs/experiments.md.
+// radio_bench CLI parsing and config assembly: flags override the
+// ExperimentConfig defaults, the CSV destination precedence is --csv >
+// --out, and the retired RADIO_* environment variables are refused
+// (docs/experiments.md).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "analysis/bench_cli.hpp"
+#include "analysis/bench_runner.hpp"
 
 namespace radio {
 namespace {
 
-void clear_radio_env() {
-  ::unsetenv("RADIO_TRIALS");
-  ::unsetenv("RADIO_SEED");
-  ::unsetenv("RADIO_FULL");
-  ::unsetenv("RADIO_CSV_DIR");
-  ::unsetenv("RADIO_BATCH");
-  ::unsetenv("RADIO_GRAPH_BACKEND");
-  ::unsetenv("RADIO_RATE");
-  ::unsetenv("RADIO_HORIZON");
+int run_cli(std::vector<const char*> args) {
+  args.insert(args.begin(), "radio_bench");
+  return run_bench_cli(static_cast<int>(args.size()), args.data());
 }
 
-class BenchCliTest : public ::testing::Test {
- protected:
-  void SetUp() override { clear_radio_env(); }
-  void TearDown() override { clear_radio_env(); }
-};
-
-TEST_F(BenchCliTest, NoArgsMeansHelp) {
+TEST(BenchCliTest, NoArgsMeansHelp) {
   EXPECT_EQ(parse_bench_command({}).action, BenchCommand::Action::kHelp);
   EXPECT_EQ(parse_bench_command({"--help"}).action,
             BenchCommand::Action::kHelp);
   EXPECT_EQ(parse_bench_command({"help"}).action, BenchCommand::Action::kHelp);
 }
 
-TEST_F(BenchCliTest, ParsesList) {
+TEST(BenchCliTest, ParsesList) {
   EXPECT_EQ(parse_bench_command({"list"}).action, BenchCommand::Action::kList);
   EXPECT_THROW(parse_bench_command({"list", "extra"}), std::runtime_error);
 }
 
-TEST_F(BenchCliTest, ParsesRunWithIdsAndFlags) {
+TEST(BenchCliTest, ParsesRunWithIdsAndFlags) {
   const BenchCommand command = parse_bench_command(
       {"run", "E3", "e7", "--trials", "32", "--seed", "7", "--full", "--out",
        "results/"});
@@ -49,27 +42,24 @@ TEST_F(BenchCliTest, ParsesRunWithIdsAndFlags) {
   EXPECT_EQ(command.ids[0], "E3");
   EXPECT_EQ(command.ids[1], "E7");  // lowercase input is canonicalized
   EXPECT_FALSE(command.all);
-  ASSERT_TRUE(command.trials.has_value());
-  EXPECT_EQ(*command.trials, 32);
-  ASSERT_TRUE(command.seed.has_value());
-  EXPECT_EQ(*command.seed, 7u);
-  ASSERT_TRUE(command.full.has_value());
-  EXPECT_TRUE(*command.full);
+  EXPECT_EQ(command.config.trials, 32);
+  EXPECT_EQ(command.config.seed, 7u);
+  EXPECT_FALSE(command.config.quick);
   EXPECT_EQ(command.out_dir, "results/");
 }
 
-TEST_F(BenchCliTest, ParsesEqualsSyntaxAndAll) {
+TEST(BenchCliTest, ParsesEqualsSyntaxAndAll) {
   const BenchCommand command = parse_bench_command(
       {"run", "--all", "--trials=4", "--seed=99", "--quick", "--csv=/tmp/x"});
   EXPECT_TRUE(command.all);
   EXPECT_TRUE(command.ids.empty());
-  EXPECT_EQ(*command.trials, 4);
-  EXPECT_EQ(*command.seed, 99u);
-  EXPECT_FALSE(*command.full);
+  EXPECT_EQ(command.config.trials, 4);
+  EXPECT_EQ(command.config.seed, 99u);
+  EXPECT_TRUE(command.config.quick);
   EXPECT_EQ(command.csv_dir, "/tmp/x");
 }
 
-TEST_F(BenchCliTest, RejectsMalformedNumericFlagsWithDiagnostics) {
+TEST(BenchCliTest, RejectsMalformedNumericFlagsWithDiagnostics) {
   // --trials=abc used to become atoi garbage; now every numeric flag parses
   // strictly and the diagnostic names the flag and the offending value.
   for (const char* bad : {"abc", "-3", "0", "1.5", "16x", ""}) {
@@ -95,47 +85,7 @@ TEST_F(BenchCliTest, RejectsMalformedNumericFlagsWithDiagnostics) {
       std::runtime_error);
 }
 
-TEST_F(BenchCliTest, RejectsMalformedEnvironmentValues) {
-  // Garbage RADIO_* values reject with a diagnostic instead of silently
-  // clamping (RADIO_TRIALS=abc used to run with trials=1).
-  const BenchCommand command = parse_bench_command({"run", "E1"});
-  ::setenv("RADIO_TRIALS", "abc", 1);
-  try {
-    config_for_run(command, "E1");
-    FAIL() << "RADIO_TRIALS=abc should be rejected";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("RADIO_TRIALS"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("'abc'"), std::string::npos);
-  }
-  ::setenv("RADIO_TRIALS", "0", 1);
-  EXPECT_THROW(config_for_run(command, "E1"), std::runtime_error);
-  ::setenv("RADIO_TRIALS", "-4", 1);
-  EXPECT_THROW(config_for_run(command, "E1"), std::runtime_error);
-  ::unsetenv("RADIO_TRIALS");
-
-  ::setenv("RADIO_SEED", "12monkeys", 1);
-  EXPECT_THROW(config_for_run(command, "E1"), std::runtime_error);
-  ::unsetenv("RADIO_SEED");
-
-  ::setenv("RADIO_FULL", "banana", 1);
-  EXPECT_THROW(config_for_run(command, "E1"), std::runtime_error);
-  ::unsetenv("RADIO_FULL");
-}
-
-TEST_F(BenchCliTest, EnvBoolAndEmptySpellingsKeepLegacyMeaning) {
-  const BenchCommand command = parse_bench_command({"run", "E1"});
-  ::setenv("RADIO_FULL", "", 1);  // legacy: empty means quick
-  EXPECT_TRUE(config_for_run(command, "E1").quick);
-  ::setenv("RADIO_FULL", "0", 1);
-  EXPECT_TRUE(config_for_run(command, "E1").quick);
-  ::setenv("RADIO_FULL", "1", 1);
-  EXPECT_FALSE(config_for_run(command, "E1").quick);
-  ::setenv("RADIO_FULL", "true", 1);
-  EXPECT_FALSE(config_for_run(command, "E1").quick);
-  ::unsetenv("RADIO_FULL");
-}
-
-TEST_F(BenchCliTest, RejectsMalformedCommands) {
+TEST(BenchCliTest, RejectsMalformedCommands) {
   EXPECT_THROW(parse_bench_command({"frobnicate"}), std::runtime_error);
   EXPECT_THROW(parse_bench_command({"run"}), std::runtime_error);
   EXPECT_THROW(parse_bench_command({"run", "--trials", "3"}),
@@ -144,42 +94,33 @@ TEST_F(BenchCliTest, RejectsMalformedCommands) {
                std::runtime_error);  // both forms
   EXPECT_THROW(parse_bench_command({"run", "E1", "--trials"}),
                std::runtime_error);  // missing value
+  EXPECT_THROW(parse_bench_command({"run", "E1", "--out", "--quick"}),
+               std::runtime_error);  // missing value before a switch
   EXPECT_THROW(parse_bench_command({"run", "E1", "--trials", "0"}),
                std::runtime_error);
   EXPECT_THROW(parse_bench_command({"run", "E1", "--seed", "banana"}),
                std::runtime_error);
   EXPECT_THROW(parse_bench_command({"run", "E1", "--wat"}),
                std::runtime_error);
+  EXPECT_THROW(parse_bench_command({"run", "E1", "--trails", "2"}),
+               std::runtime_error);  // misspelt flag
   EXPECT_THROW(parse_bench_command({"run", "notanid"}), std::runtime_error);
+  EXPECT_THROW(parse_bench_command({"run", "E1", "--full", "--quick"}),
+               std::runtime_error);  // contradictory grids
 }
 
-TEST_F(BenchCliTest, ConfigDefaultsWithoutEnvOrFlags) {
+TEST(BenchCliTest, ConfigDefaultsWithoutEnvOrFlags) {
   const BenchCommand command = parse_bench_command({"run", "E1"});
   const ExperimentConfig config = config_for_run(command, "E1");
   EXPECT_EQ(config.trials, 16);
   EXPECT_EQ(config.seed, 42u);
   EXPECT_TRUE(config.quick);
+  EXPECT_EQ(config.batch, 1);
+  EXPECT_EQ(config.graph_backend, GraphBackendChoice::kAuto);
   EXPECT_TRUE(config.csv_path.empty());
 }
 
-TEST_F(BenchCliTest, EnvVarsApplyWhenNoFlags) {
-  ::setenv("RADIO_TRIALS", "5", 1);
-  ::setenv("RADIO_SEED", "123", 1);
-  ::setenv("RADIO_FULL", "1", 1);
-  ::setenv("RADIO_CSV_DIR", "/tmp/envcsv", 1);
-  const BenchCommand command = parse_bench_command({"run", "E10"});
-  const ExperimentConfig config = config_for_run(command, "E10");
-  EXPECT_EQ(config.trials, 5);
-  EXPECT_EQ(config.seed, 123u);
-  EXPECT_FALSE(config.quick);
-  EXPECT_EQ(config.csv_path, "/tmp/envcsv/e10.csv");
-}
-
-TEST_F(BenchCliTest, CliFlagsTakePrecedenceOverEnv) {
-  ::setenv("RADIO_TRIALS", "5", 1);
-  ::setenv("RADIO_SEED", "123", 1);
-  ::setenv("RADIO_FULL", "1", 1);
-  ::setenv("RADIO_CSV_DIR", "/tmp/envcsv", 1);
+TEST(BenchCliTest, CliFlagsTakePrecedenceOverEnv) {
   const BenchCommand command = parse_bench_command(
       {"run", "E10", "--trials", "9", "--seed", "7", "--quick", "--out",
        "/tmp/outdir"});
@@ -187,34 +128,28 @@ TEST_F(BenchCliTest, CliFlagsTakePrecedenceOverEnv) {
   EXPECT_EQ(config.trials, 9);
   EXPECT_EQ(config.seed, 7u);
   EXPECT_TRUE(config.quick);
-  // --out redirects the CSV away from RADIO_CSV_DIR, legacy file name kept.
   EXPECT_EQ(config.csv_path, "/tmp/outdir/e10.csv");
 }
 
-TEST_F(BenchCliTest, CsvDirBeatsOutDirForCsvPlacement) {
+TEST(BenchCliTest, CsvDirBeatsOutDirForCsvPlacement) {
   const BenchCommand command = parse_bench_command(
       {"run", "E2", "--csv", "/tmp/csvdir", "--out", "/tmp/outdir"});
   const ExperimentConfig config = config_for_run(command, "E2");
   EXPECT_EQ(config.csv_path, "/tmp/csvdir/e2.csv");
 }
 
-TEST_F(BenchCliTest, BatchFlagLayersLikeEveryOtherNumericFlag) {
-  // Defaults < RADIO_BATCH < --batch, same layering as --trials/--seed.
+TEST(BenchCliTest, BatchFlagLayersLikeEveryOtherNumericFlag) {
   const BenchCommand bare = parse_bench_command({"run", "E7"});
   EXPECT_EQ(config_for_run(bare, "E7").batch, 1);
-
-  ::setenv("RADIO_BATCH", "16", 1);
-  EXPECT_EQ(config_for_run(bare, "E7").batch, 16);
 
   const BenchCommand flagged =
       parse_bench_command({"run", "E7", "--batch", "64"});
   EXPECT_EQ(config_for_run(flagged, "E7").batch, 64);
-  ::unsetenv("RADIO_BATCH");
 
-  EXPECT_EQ(*parse_bench_command({"run", "E7", "--batch=8"}).batch, 8);
+  EXPECT_EQ(parse_bench_command({"run", "E7", "--batch=8"}).config.batch, 8);
 }
 
-TEST_F(BenchCliTest, RejectsMalformedBatchValues) {
+TEST(BenchCliTest, RejectsMalformedBatchValues) {
   // Lane widths parse strictly through util/parse: junk, zero, and
   // out-of-range values are diagnostics naming the flag, never a clamp.
   for (const char* bad : {"banana", "0", "-8", "4097", "8x", ""}) {
@@ -225,47 +160,28 @@ TEST_F(BenchCliTest, RejectsMalformedBatchValues) {
       EXPECT_NE(std::string(e.what()).find("--batch"), std::string::npos);
     }
   }
-  const BenchCommand command = parse_bench_command({"run", "E7"});
-  ::setenv("RADIO_BATCH", "lots", 1);
-  try {
-    config_for_run(command, "E7");
-    FAIL() << "RADIO_BATCH=lots should be rejected";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("RADIO_BATCH"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("'lots'"), std::string::npos);
-  }
-  ::setenv("RADIO_BATCH", "0", 1);
-  EXPECT_THROW(config_for_run(command, "E7"), std::runtime_error);
-  ::unsetenv("RADIO_BATCH");
 }
 
-TEST_F(BenchCliTest, StreamingFlagsLayerLikeEveryOtherNumericFlag) {
-  // Defaults < RADIO_RATE/RADIO_HORIZON < --rate/--horizon. The defaults
-  // are 0 ("driver picks its own grid/horizon"), so a pinned value is
-  // always an explicit override.
+TEST(BenchCliTest, StreamingFlagsLayerLikeEveryOtherNumericFlag) {
+  // The defaults are 0 ("driver picks its own grid/horizon"), so a pinned
+  // value is always an explicit override.
   const BenchCommand bare = parse_bench_command({"run", "E16"});
   EXPECT_EQ(config_for_run(bare, "E16").rate, 0.0);
   EXPECT_EQ(config_for_run(bare, "E16").horizon, 0);
-
-  ::setenv("RADIO_RATE", "0.05", 1);
-  ::setenv("RADIO_HORIZON", "500", 1);
-  EXPECT_DOUBLE_EQ(config_for_run(bare, "E16").rate, 0.05);
-  EXPECT_EQ(config_for_run(bare, "E16").horizon, 500);
 
   const BenchCommand flagged = parse_bench_command(
       {"run", "E16", "--rate", "0.125", "--horizon", "2500"});
   EXPECT_DOUBLE_EQ(config_for_run(flagged, "E16").rate, 0.125);
   EXPECT_EQ(config_for_run(flagged, "E16").horizon, 2500);
-  ::unsetenv("RADIO_RATE");
-  ::unsetenv("RADIO_HORIZON");
 
-  EXPECT_DOUBLE_EQ(*parse_bench_command({"run", "E16", "--rate=0.01"}).rate,
-                   0.01);
-  EXPECT_EQ(*parse_bench_command({"run", "E16", "--horizon=100"}).horizon,
-            100);
+  EXPECT_DOUBLE_EQ(
+      parse_bench_command({"run", "E16", "--rate=0.01"}).config.rate, 0.01);
+  EXPECT_EQ(
+      parse_bench_command({"run", "E16", "--horizon=100"}).config.horizon,
+      100);
 }
 
-TEST_F(BenchCliTest, RejectsMalformedStreamingValues) {
+TEST(BenchCliTest, RejectsMalformedStreamingValues) {
   for (const char* bad : {"banana", "0", "-0.5", "", "0.1x"}) {
     try {
       parse_bench_command({"run", "E16", std::string("--rate=") + bad});
@@ -282,42 +198,24 @@ TEST_F(BenchCliTest, RejectsMalformedStreamingValues) {
       EXPECT_NE(std::string(e.what()).find("--horizon"), std::string::npos);
     }
   }
-  const BenchCommand command = parse_bench_command({"run", "E16"});
-  ::setenv("RADIO_RATE", "fast", 1);
-  try {
-    config_for_run(command, "E16");
-    FAIL() << "RADIO_RATE=fast should be rejected";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("RADIO_RATE"), std::string::npos);
-  }
-  ::unsetenv("RADIO_RATE");
-  ::setenv("RADIO_HORIZON", "forever", 1);
-  EXPECT_THROW(config_for_run(command, "E16"), std::runtime_error);
-  ::unsetenv("RADIO_HORIZON");
 }
 
-TEST_F(BenchCliTest, GraphBackendFlagLayersLikeEveryOtherFlag) {
-  // Defaults < RADIO_GRAPH_BACKEND < --graph-backend.
+TEST(BenchCliTest, GraphBackendFlagLayersLikeEveryOtherFlag) {
   const BenchCommand bare = parse_bench_command({"run", "E2"});
   EXPECT_EQ(config_for_run(bare, "E2").graph_backend,
             GraphBackendChoice::kAuto);
-
-  ::setenv("RADIO_GRAPH_BACKEND", "bitmap", 1);
-  EXPECT_EQ(config_for_run(bare, "E2").graph_backend,
-            GraphBackendChoice::kBitmap);
 
   const BenchCommand flagged =
       parse_bench_command({"run", "E2", "--graph-backend", "implicit"});
   EXPECT_EQ(config_for_run(flagged, "E2").graph_backend,
             GraphBackendChoice::kImplicit);
-  ::unsetenv("RADIO_GRAPH_BACKEND");
 
-  EXPECT_EQ(*parse_bench_command({"run", "E2", "--graph-backend=csr"})
-                 .graph_backend,
+  EXPECT_EQ(parse_bench_command({"run", "E2", "--graph-backend=csr"})
+                .config.graph_backend,
             GraphBackendChoice::kCsr);
 }
 
-TEST_F(BenchCliTest, RejectsMalformedGraphBackendValues) {
+TEST(BenchCliTest, RejectsMalformedGraphBackendValues) {
   // Backend names parse strictly: junk, case variants and trailing
   // characters are diagnostics naming the flag, never a silent default.
   for (const char* bad : {"banana", "AUTO", "csr ", "implicit7", ""}) {
@@ -330,29 +228,69 @@ TEST_F(BenchCliTest, RejectsMalformedGraphBackendValues) {
                 std::string::npos);
     }
   }
-  const BenchCommand command = parse_bench_command({"run", "E2"});
-  ::setenv("RADIO_GRAPH_BACKEND", "dense", 1);
-  try {
-    config_for_run(command, "E2");
-    FAIL() << "RADIO_GRAPH_BACKEND=dense should be rejected";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("RADIO_GRAPH_BACKEND"),
-              std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("'dense'"), std::string::npos);
-  }
-  ::unsetenv("RADIO_GRAPH_BACKEND");
 }
 
-TEST_F(BenchCliTest, LowercaseIdHelper) {
+TEST(BenchCliTest, LowercaseIdHelper) {
   EXPECT_EQ(lowercase_id("E10"), "e10");
   EXPECT_EQ(lowercase_id("e3"), "e3");
 }
 
-TEST_F(BenchCliTest, UsageMentionsTheCommands) {
+TEST(BenchCliTest, UsageMentionsTheCommands) {
   const std::string usage = bench_usage();
   EXPECT_NE(usage.find("radio_bench list"), std::string::npos);
   EXPECT_NE(usage.find("--trials"), std::string::npos);
-  EXPECT_NE(usage.find("RADIO_TRIALS"), std::string::npos);
+}
+
+TEST(BenchCliTest, RetiredEnvironmentVariablesExitTwo) {
+  // A script that still sets a RADIO_* knob must fail loudly, naming the
+  // flag that replaced it, instead of silently running the defaults.
+  const struct {
+    const char* variable;
+    const char* value;
+    const char* flag;
+  } retired[] = {
+      {"RADIO_TRIALS", "64", "--trials"},
+      {"RADIO_SEED", "7", "--seed"},
+      {"RADIO_FULL", "", "--full"},
+      {"RADIO_CSV_DIR", "results", "--csv"},
+      {"RADIO_BATCH", "16", "--batch"},
+      {"RADIO_GRAPH_BACKEND", "csr", "--graph-backend"},
+      {"RADIO_RATE", "0.05", "--rate"},
+      {"RADIO_HORIZON", "500", "--horizon"},
+  };
+  for (const auto& r : retired) {
+    ::setenv(r.variable, r.value, 1);
+    ::testing::internal::CaptureStderr();
+    const int code = run_cli({"list"});
+    const std::string diagnostic = ::testing::internal::GetCapturedStderr();
+    ::unsetenv(r.variable);
+    EXPECT_EQ(code, 2) << r.variable;
+    EXPECT_NE(diagnostic.find(r.variable), std::string::npos) << diagnostic;
+    EXPECT_NE(diagnostic.find(r.flag), std::string::npos) << diagnostic;
+  }
+  EXPECT_EQ(run_cli({"list"}), 0);
+}
+
+TEST(BenchCliTest, UnwritableCsvExitsOne) {
+  // A directory squatting on the CSV's path makes the write fail; that is
+  // an output I/O failure (exit 1), whether the CSV goes to --csv or --out.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "radio_bench_csv_blocked";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir / "e15.csv");
+  const std::string dir_arg = dir.string();
+  for (const char* flag : {"--csv", "--out"}) {
+    ::testing::internal::CaptureStdout();
+    ::testing::internal::CaptureStderr();
+    const int code = run_cli({"run", "E15", "--trials", "2", flag,
+                              dir_arg.c_str()});
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(code, 1) << flag;
+    EXPECT_NE(out.find("[failed to write csv to"), std::string::npos) << out;
+    EXPECT_NE(err.find("e15.csv"), std::string::npos) << err;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 // same code paths the bench binaries regenerate the paper tables with.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -218,34 +217,6 @@ TEST(Experiments, E18StreamsOnImplicitBackend) {
   const ExperimentResult r = run_e18_stream_giant(config);
   expect_well_formed(r, "E18");
   EXPECT_EQ(r.table.num_rows(), 3u);  // 3 rate fractions in quick mode
-}
-
-TEST(ExperimentConfig, EnvironmentOverrides) {
-  ::setenv("RADIO_TRIALS", "5", 1);
-  ::setenv("RADIO_SEED", "123", 1);
-  ::setenv("RADIO_FULL", "1", 1);
-  ::setenv("RADIO_CSV_DIR", "/tmp", 1);
-  const ExperimentConfig config = ExperimentConfig::from_environment("eX");
-  EXPECT_EQ(config.trials, 5);
-  EXPECT_EQ(config.seed, 123u);
-  EXPECT_FALSE(config.quick);
-  EXPECT_EQ(config.csv_path, "/tmp/eX.csv");
-  ::unsetenv("RADIO_TRIALS");
-  ::unsetenv("RADIO_SEED");
-  ::unsetenv("RADIO_FULL");
-  ::unsetenv("RADIO_CSV_DIR");
-}
-
-TEST(ExperimentConfig, DefaultsWithoutEnvironment) {
-  ::unsetenv("RADIO_TRIALS");
-  ::unsetenv("RADIO_SEED");
-  ::unsetenv("RADIO_FULL");
-  ::unsetenv("RADIO_CSV_DIR");
-  const ExperimentConfig config = ExperimentConfig::from_environment("eY");
-  EXPECT_EQ(config.trials, 16);
-  EXPECT_EQ(config.seed, 42u);
-  EXPECT_TRUE(config.quick);
-  EXPECT_TRUE(config.csv_path.empty());
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
 // Run manifests and metrics: the JSON document round-trips through the
 // parser with every field intact, and the registry-driven runner path is
-// byte-identical to the legacy bench_e* path (same driver, same config ⇒
-// same table, CSV and notes) — the compatibility contract DESIGN.md's
+// byte-identical to a direct driver call (same driver, same config ⇒ same
+// table, CSV and notes) — the compatibility contract DESIGN.md's
 // "Observability & provenance" section pins.
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 #include "analysis/bench_runner.hpp"
 #include "analysis/experiments.hpp"
@@ -13,13 +11,6 @@
 
 namespace radio {
 namespace {
-
-void clear_radio_env() {
-  ::unsetenv("RADIO_TRIALS");
-  ::unsetenv("RADIO_SEED");
-  ::unsetenv("RADIO_FULL");
-  ::unsetenv("RADIO_CSV_DIR");
-}
 
 RunRecord sample_record() {
   RunRecord record;
@@ -125,10 +116,9 @@ TEST(Manifest, RunnerRejectsUnknownId) {
 }
 
 // Golden compatibility check: running E10 through the registry-driven
-// runner produces byte-identical table, CSV and notes to calling the legacy
-// driver directly with the same config (the path bench_e10 takes).
+// runner produces byte-identical table, CSV and notes to calling the
+// driver directly with the same config.
 TEST(Manifest, GoldenRunnerMatchesLegacyE10) {
-  clear_radio_env();
   ExperimentConfig config;
   config.trials = 2;
   config.seed = 7;

@@ -25,7 +25,7 @@ TEST(Presentation, WritesCsvWhenConfigured) {
   std::remove(path.c_str());
   ExperimentConfig config;
   config.csv_path = path;
-  sample_result().present(config);
+  EXPECT_TRUE(sample_result().present(config));
   std::ifstream file(path);
   ASSERT_TRUE(file.good());
   std::stringstream buffer;
@@ -37,7 +37,7 @@ TEST(Presentation, NoCsvWhenUnconfigured) {
   const std::string path = ::testing::TempDir() + "/radio_present_none.csv";
   std::remove(path.c_str());
   ExperimentConfig config;  // csv_path empty
-  sample_result().present(config);
+  EXPECT_TRUE(sample_result().present(config));
   std::ifstream file(path);
   EXPECT_FALSE(file.good());
 }
@@ -45,8 +45,11 @@ TEST(Presentation, NoCsvWhenUnconfigured) {
 TEST(Presentation, SurvivesBadCsvPath) {
   ExperimentConfig config;
   config.csv_path = "/nonexistent_zzz_dir/out.csv";
-  // Must not crash or throw; it reports the failure on stdout.
-  EXPECT_NO_FATAL_FAILURE(sample_result().present(config));
+  // Must not crash or throw; it reports the failure on stdout and to the
+  // caller, which turns it into exit code 1.
+  bool written = true;
+  EXPECT_NO_FATAL_FAILURE(written = sample_result().present(config));
+  EXPECT_FALSE(written);
 }
 
 }  // namespace

@@ -87,8 +87,8 @@ TEST_F(ThreadDeterminism, RepeatedRunsAreIdenticalAtSameThreadCount) {
   EXPECT_EQ(a.metrics, b.metrics);
 }
 
-// The sim/batch contract at the experiment surface: RADIO_BATCH/--batch must
-// change wall time only. E7's schedule searches run on the batched core, so
+// The sim/batch contract at the experiment surface: --batch must change
+// wall time only. E7's schedule searches run on the batched core, so
 // its quick table is the sharpest end-to-end probe — byte-identical CSV and
 // metrics whether trials advance per-instance (batch=1) or 64 lanes at a
 // time, and at any thread count.

@@ -126,16 +126,6 @@ TEST(Graph, InducedEmptySelection) {
   EXPECT_EQ(sub.graph.num_edges(), 0u);
 }
 
-TEST(Graph, FromCsrFastPath) {
-  // Triangle as CSR directly.
-  std::vector<EdgeCount> offsets = {0, 2, 4, 6};
-  std::vector<NodeId> adj = {1, 2, 0, 2, 0, 1};
-  const Graph g = Graph::from_csr(std::move(offsets), std::move(adj));
-  EXPECT_EQ(g.num_nodes(), 3u);
-  EXPECT_EQ(g.num_edges(), 3u);
-  EXPECT_TRUE(g.has_edge(1, 2));
-}
-
 TEST(GraphDeathTest, SelfLoopRejected) {
   const std::vector<Edge> edges = {{1, 1}};
   EXPECT_DEATH((void)Graph::from_edges(3, edges), "precondition");

@@ -1,7 +1,8 @@
-// CLI parsing for the example binaries.
+// CLI parsing for radio_bench and the example binaries.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -9,9 +10,10 @@
 namespace radio {
 namespace {
 
-CliArgs parse(std::vector<const char*> argv) {
+CliArgs parse(std::vector<const char*> argv,
+              std::initializer_list<std::string_view> switches = {}) {
   argv.insert(argv.begin(), "prog");
-  return CliArgs(static_cast<int>(argv.size()), argv.data());
+  return CliArgs(static_cast<int>(argv.size()), argv.data(), switches);
 }
 
 TEST(Cli, EqualsSyntax) {
@@ -26,8 +28,31 @@ TEST(Cli, SpaceSyntax) {
 }
 
 TEST(Cli, BareFlagIsTrue) {
-  const CliArgs args = parse({"--verbose"});
+  // Only a declared switch may stand without a value.
+  const CliArgs args = parse({"--verbose"}, {"verbose"});
   EXPECT_TRUE(args.get_bool("verbose", false));
+}
+
+TEST(Cli, BareNonSwitchFlagIsAnError) {
+  // A value-taking flag with its value missing used to read as "true".
+  try {
+    (void)parse({"--out"});
+    FAIL() << "a bare --out should be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("--out"), std::string::npos);
+  }
+  EXPECT_THROW((void)parse({"--out", "--all"}, {"all"}), std::runtime_error);
+  EXPECT_THROW((void)parse({"--all", "--out"}, {"all"}), std::runtime_error);
+}
+
+TEST(Cli, SwitchesNeverSwallowTheNextToken) {
+  const CliArgs args =
+      parse({"E3", "--all", "E7", "--trials", "4", "e9"}, {"all"});
+  EXPECT_TRUE(args.get_bool("all", false));
+  EXPECT_EQ(args.get_int("trials", 0), 4);
+  EXPECT_EQ(args.positionals(),
+            (std::vector<std::string>{"E3", "E7", "e9"}));
+  EXPECT_NO_THROW(args.validate());
 }
 
 TEST(Cli, FallbacksWhenMissing) {
@@ -54,7 +79,10 @@ TEST(Cli, HasReportsPresence) {
 }
 
 TEST(Cli, NonFlagArgumentThrows) {
-  EXPECT_THROW(parse({"positional"}), std::runtime_error);
+  // The examples read no positionals, so validate() rejects a stray one.
+  const CliArgs args = parse({"--n=3", "positional"});
+  (void)args.get_int("n", 0);
+  EXPECT_THROW(args.validate(), std::runtime_error);
 }
 
 TEST(Cli, ValidateRejectsUnknownFlags) {
@@ -102,6 +130,22 @@ TEST(Cli, MalformedDoubleRejectsGarbageAndNonFinite) {
                std::runtime_error);
   EXPECT_THROW((void)parse({"--p=1e999"}).get_double("p", 0.0),
                std::runtime_error);
+}
+
+TEST(Cli, RangeCheckedGettersNameTheFlag) {
+  EXPECT_EQ(parse({"--n=10"}).get_int("n", 0, 1, 10), 10);
+  EXPECT_THROW((void)parse({"--n=11"}).get_int("n", 0, 1, 10),
+               std::runtime_error);
+  EXPECT_DOUBLE_EQ(parse({"--p=0.5"}).get_double("p", 0.0, 0.0, 1.0), 0.5);
+  try {
+    (void)parse({"--p=1.5"}).get_double("p", 0.0, 0.0, 1.0);
+    FAIL() << "--p=1.5 is outside [0, 1]";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("--p"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("'1.5'"), std::string::npos);
+  }
+  // The fallback is the caller's own value and is not range-checked.
+  EXPECT_EQ(parse({}).get_int("n", 0, 1, 10), 0);
 }
 
 TEST(Cli, MalformedBoolIsAnErrorNotFalse) {
