@@ -19,10 +19,10 @@
 #include <vector>
 
 #include "analysis/workload.hpp"
+#include "core/adversary.hpp"
 #include "core/centralized.hpp"
 #include "core/distributed.hpp"
 #include "core/layer_probe.hpp"
-#include "core/lower_bound.hpp"
 #include "gossip/gossip_session.hpp"
 #include "graph/bfs.hpp"
 #include "graph/covering.hpp"
@@ -635,46 +635,53 @@ void BM_LayerProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_LayerProbe)->Arg(1 << 12)->Arg(1 << 14);
 
-/// One adversarial oblivious-schedule search with range(0) candidates
-/// (E7, Thm 8).
+/// One adversary generation of E7's Thm-8 search: the guided oblivious
+/// search at population range(0), two trials per candidate, one generation
+/// after seeding.
 void BM_ObliviousSearch(benchmark::State& state) {
   const radio::NodeId n = 1 << 10;
   const double ln_n = std::log(static_cast<double>(n));
   radio::Rng rng(31);
   const radio::BroadcastInstance instance =
       radio::make_broadcast_instance(ln2_params(n), rng);
-  radio::ObliviousSearchParams search;
+  radio::GuidedSearchParams search;
   search.round_budget = static_cast<std::uint32_t>(10.0 * ln_n);
-  search.num_candidates = static_cast<int>(state.range(0));
-  search.trials_per_candidate = 1;
+  search.generations = 1;
+  search.population = static_cast<int>(state.range(0));
+  search.trials_per_candidate = 2;
+  search.batch_lanes = 32;
   for (auto _ : state) {
     radio::Rng search_rng(state.iterations());
-    const auto outcome = radio::search_oblivious_schedules(
+    const auto outcome = radio::guided_oblivious_search(
         instance.graph, 0, radio::context_for(instance), search, search_rng);
     benchmark::DoNotOptimize(outcome.best_rounds);
   }
-  state.counters["candidates"] = static_cast<double>(search.num_candidates);
+  state.counters["population"] = static_cast<double>(search.population);
 }
-BENCHMARK(BM_ObliviousSearch)->Arg(4)->Arg(16);
+BENCHMARK(BM_ObliviousSearch)->Arg(6)->Arg(10);
 
-/// The Thm-6 small-set adversary at p = 1/2 with range(0) schedules (E7).
+/// One adversary generation of E7's Thm-6 search: the guided small-set
+/// search at p = 1/2 with population range(0), one generation after seeding.
 void BM_SmallSetAdversary(benchmark::State& state) {
   const radio::NodeId n = 256;
   const radio::GnpParams params{n, 0.5};
   radio::Rng rng(37);
   const radio::BroadcastInstance instance =
       radio::make_broadcast_instance(params, rng);
-  radio::SmallSetAdversaryParams adversary;
-  adversary.round_budget = 32;
-  adversary.num_schedules = static_cast<int>(state.range(0));
+  radio::GuidedSearchParams search;
+  search.round_budget = 32;
+  search.generations = 1;
+  search.population = static_cast<int>(state.range(0));
+  search.batch_lanes = 32;
   for (auto _ : state) {
     radio::Rng probe_rng(state.iterations());
-    const auto outcome = radio::probe_small_set_schedules(instance.graph, 0,
-                                                          adversary, probe_rng);
+    const auto outcome =
+        radio::guided_small_set_search(instance.graph, 0, search, probe_rng);
     benchmark::DoNotOptimize(outcome.best_rounds);
   }
+  state.counters["population"] = static_cast<double>(search.population);
 }
-BENCHMARK(BM_SmallSetAdversary)->Arg(16)->Arg(64);
+BENCHMARK(BM_SmallSetAdversary)->Arg(8)->Arg(16);
 
 }  // namespace
 }  // namespace core_layer

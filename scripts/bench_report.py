@@ -5,8 +5,10 @@ Reads every ``*.manifest.json`` a ``radio_bench run ... --out DIR`` left in
 DIR (schema: DESIGN.md "Observability & provenance") and either
 
   * validates them (``--check``): each manifest parses, carries the expected
-    schema version, and the directory covers all 18 experiment ids — the CI
-    smoke gate wired into scripts/ci.sh; or
+    schema version, and the directory covers all 18 experiment ids; every
+    line of ``metrics.jsonl`` is one JSON object, and each manifest has its
+    table's row count of row lines plus one summary line — the CI smoke gate
+    wired into scripts/ci.sh; or
   * appends one trajectory entry to a ``BENCH_run.json`` file
     (``--bench-json PATH``): per-experiment wall-clock and row counts plus
     shared provenance, the repo's perf record future PRs regress against.
@@ -55,6 +57,22 @@ REQUIRED_KEYS = (
 )
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json object_pairs_hook that rejects a repeated key instead of keeping
+    its last value: radio_bench never writes one, so one means a bug."""
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def parse_json(text: str):
+    """Strict parse of one document radio_bench wrote."""
+    return json.loads(text, object_pairs_hook=unique_keys)
+
+
 def load_manifests(out_dir: pathlib.Path) -> dict[str, dict]:
     """Parses every *.manifest.json in out_dir, keyed by experiment id."""
     manifests: dict[str, dict] = {}
@@ -63,8 +81,8 @@ def load_manifests(out_dir: pathlib.Path) -> dict[str, dict]:
         raise SystemExit(f"error: no *.manifest.json files in {out_dir}")
     for path in paths:
         try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
+            doc = parse_json(path.read_text())
+        except ValueError as err:
             raise SystemExit(f"error: {path} is not valid JSON: {err}")
         missing = [key for key in REQUIRED_KEYS if key not in doc]
         if missing:
@@ -134,10 +152,46 @@ def check_adversary_gate(doc: dict) -> None:
             " the 0.9 floor — the guided search lost its ln n linearity")
 
 
-def check(manifests: dict[str, dict], expected_ids: list[str]) -> None:
+def check_metrics(path: pathlib.Path, manifests: dict[str, dict]) -> None:
+    """metrics.jsonl: every line one JSON object naming a run's experiment;
+    per manifest, one row line per table row and exactly one summary line
+    whose row count matches the table."""
+    if not path.is_file():
+        raise SystemExit(f"error: {path} is missing")
+    row_lines = {eid: 0 for eid in manifests}
+    summaries: dict[str, list] = {eid: [] for eid in manifests}
+    for number, line in enumerate(path.read_text().splitlines(), start=1):
+        try:
+            doc = parse_json(line)
+        except ValueError as err:
+            raise SystemExit(f"error: {path}:{number} is not valid JSON: {err}")
+        if not isinstance(doc, dict) or doc.get("experiment") not in manifests:
+            raise SystemExit(
+                f"error: {path}:{number} is not a metrics object of a"
+                " manifest in this directory")
+        if doc.get("event") == "summary":
+            summaries[doc["experiment"]].append(doc.get("rows"))
+        else:
+            row_lines[doc["experiment"]] += 1
+    for eid, doc in manifests.items():
+        rows = len(doc["table"]["rows"])
+        if len(summaries[eid]) != 1:
+            raise SystemExit(
+                f"error: {path} has {len(summaries[eid])} summary lines for"
+                f" {eid}, expected 1")
+        if row_lines[eid] != rows or summaries[eid][0] != rows:
+            raise SystemExit(
+                f"error: {path} has {row_lines[eid]} row lines for {eid}"
+                f" (summary says {summaries[eid][0]}); its manifest table has"
+                f" {rows} rows")
+
+
+def check(out_dir: pathlib.Path, manifests: dict[str, dict],
+          expected_ids: list[str]) -> None:
     """The CI smoke gate: expected experiments present, populated tables,
-    E7's adversary consistent with its diameter bounds and fit floor, and
-    E16's stability sweep consistent with the GHK bound."""
+    metrics.jsonl consistent with the manifests, E7's adversary consistent
+    with its diameter bounds and fit floor, and E16's stability sweep
+    consistent with the GHK bound."""
     missing = [eid for eid in expected_ids if eid not in manifests]
     if missing:
         raise SystemExit(f"error: manifests missing experiments {missing}")
@@ -153,6 +207,7 @@ def check(manifests: dict[str, dict], expected_ids: list[str]) -> None:
             check_adversary_gate(doc)
         if eid == "E16":
             check_throughput_gate(doc)
+    check_metrics(out_dir / "metrics.jsonl", manifests)
     print(f"ok: {len(manifests)} manifests valid "
           f"({', '.join(sorted(manifests, key=lambda e: int(e[1:])))})")
 
@@ -310,7 +365,7 @@ def main(argv: list[str]) -> int:
     if args.check:
         expected = (args.expect.split(",") if args.expect
                     else EXPECTED_IDS)
-        check(manifests, expected)
+        check(args.out_dir, manifests, expected)
         return 0
     if args.bench_json is None:
         raise SystemExit("error: pass --check or --bench-json PATH")

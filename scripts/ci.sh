@@ -25,10 +25,10 @@
 #     -fanalyzer, smoke ctest subset to prove the binaries still work.
 #
 # Sanitizer stages (skippable via RADIO_CI_SKIP_SANITIZERS=1 for the fast
-# local loop) share one parameterized rebuild/ctest/fuzz function:
-#   * asan: ASan+UBSan, full suite + 10k-iteration fuzz smoke per harness —
-#     memory bugs and UB in the input boundary fail CI rather than silently
-#     corrupting experiment numbers.
+# local loop) share one parameterized rebuild/ctest function:
+#   * asan: ASan+UBSan over the full suite — memory bugs and UB (the input
+#     boundary included) fail CI rather than silently corrupting experiment
+#     numbers.
 #   * tsan: ThreadSanitizer over the OpenMP-heavy suites (trial runner,
 #     thread-count determinism, dense/sparse dual-path differential tests)
 #     at OMP_NUM_THREADS=4 — data races in run_trials' failure capture or
@@ -108,6 +108,19 @@ if RADIO_TRIALS=junk "$BUILD_DIR/bench/radio_bench" run E1 2>/dev/null; then
 fi
 if "$BUILD_DIR/bench/radio_bench" run E2 --graph-backend=dense 2>/dev/null; then
   echo "ci: radio_bench accepted --graph-backend=dense" >&2; exit 1
+fi
+# --batch and RADIO_BATCH are retired: a script that still passes either is
+# a usage error (exit 2), never a silent default run.
+status=0
+"$BUILD_DIR/bench/radio_bench" run E7 --batch 4 >/dev/null 2>&1 || status=$?
+if [[ "$status" != 2 ]]; then
+  echo "ci: radio_bench run E7 --batch 4 exited $status, expected 2" >&2; exit 1
+fi
+status=0
+RADIO_BATCH=4 "$BUILD_DIR/bench/radio_bench" list >/dev/null 2>&1 || status=$?
+if [[ "$status" != 2 ]]; then
+  echo "ci: RADIO_BATCH=4 radio_bench list exited $status, expected 2" >&2
+  exit 1
 fi
 
 # bench_layers must keep registering every benchmark bench_report.py
@@ -216,12 +229,12 @@ else
 fi
 
 # -------------------------------------------------------- sanitizer stages
-# run_sanitizer_stage <name> <flags> <ctest-regex|-> <fuzz|nofuzz> [ENV=V...]
-# Rebuilds the tree in ${BUILD_DIR}-<name> with the given sanitizer flags,
-# runs ctest (optionally filtered), and optionally replays the fuzz corpora.
+# run_sanitizer_stage <name> <flags> <ctest-regex|-> [ENV=V...]
+# Rebuilds the tree in ${BUILD_DIR}-<name> with the given sanitizer flags and
+# runs ctest (optionally filtered).
 run_sanitizer_stage() {
-  local name="$1" flags="$2" test_regex="$3" fuzz_mode="$4"
-  shift 4
+  local name="$1" flags="$2" test_regex="$3"
+  shift 3
   local dir="${BUILD_DIR}-${name}" ctest_args=()
   [[ "$test_regex" != "-" ]] && ctest_args+=(-R "$test_regex")
   rm -rf "$dir"
@@ -232,20 +245,15 @@ run_sanitizer_stage() {
   cmake --build "$dir" -j
   env "$@" ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
     "${ctest_args[@]}"
-  if [[ "$fuzz_mode" == "fuzz" ]]; then
-    # Fuzz harness under sanitizers: corpus replay + 10k mutated inputs.
-    env "$@" "$dir/tests/fuzz/fuzz_json" tests/fuzz/corpus/json --iters 10000
-  fi
 }
 
 if [[ "${RADIO_CI_SKIP_SANITIZERS:-0}" != "1" ]]; then
   run_sanitizer_stage asan \
     "-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer" \
-    - fuzz
+    -
   run_sanitizer_stage tsan \
     "-fsanitize=thread -fno-omit-frame-pointer" \
     'TrialRunner|ThreadDeterminism|EngineEquivalence|DenseKernel|EngineDense|BatchDeterminism|BatchEquivalence|BatchEngine|StreamDeterminism|StreamSession|StreamWorkload|Adversary|FixedSmallSet|GuidedSmallSetSearch|GuidedSearchFixture' \
-    nofuzz \
     OMP_NUM_THREADS=4 TSAN_OPTIONS="halt_on_error=1"
 fi
 
@@ -257,5 +265,5 @@ fi
 if [[ "${RADIO_CI_FANALYZER:-0}" == "1" ]]; then
   run_sanitizer_stage fanalyzer \
     "-fanalyzer -Werror=analyzer-possible-null-dereference -Werror=analyzer-null-dereference -Werror=analyzer-use-after-free -Werror=analyzer-double-free" \
-    'Smoke' nofuzz
+    'Smoke'
 fi

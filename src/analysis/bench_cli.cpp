@@ -75,7 +75,6 @@ BenchCommand parse_bench_command(const std::vector<std::string>& args) {
   const bool quick = cli.get_bool("quick", false);
   if (full && quick) usage_error("pass either --full or --quick, not both");
   config.quick = !full;
-  config.batch = static_cast<int>(cli.get_int("batch", config.batch, 1, 4096));
   const std::string backend =
       cli.get_string("graph-backend", to_string(config.graph_backend));
   const auto choice = graph_backend_from_name(backend);
@@ -129,9 +128,6 @@ std::string bench_usage() {
       "  --seed S       base RNG seed                      (default 42)\n"
       "  --full         large n grids\n"
       "  --quick        small n grids (default)\n"
-      "  --batch B      sim/batch lane width, 1–4096       (default 1)\n"
-      "                 shared-instance probes advance B instances per\n"
-      "                 sweep; results are byte-identical for any B\n"
       "  --graph-backend auto|csr|bitmap|implicit\n"
       "                 instance representation            (default auto)\n"
       "                 auto picks per instance via the cost model;\n"

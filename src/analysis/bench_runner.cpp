@@ -60,7 +60,6 @@ Json config_json(const ExperimentConfig& config) {
   obj.set("trials", config.trials);
   obj.set("seed", config.seed);
   obj.set("quick", config.quick);
-  obj.set("batch", config.batch);
   obj.set("graph_backend", std::string(to_string(config.graph_backend)));
   obj.set("rate", config.rate);
   obj.set("horizon", config.horizon);
@@ -101,23 +100,26 @@ Json fit_json(const ModelFitNote& fit) {
 }
 
 /// The environment variables radio_bench read before its flags replaced
-/// them, each with its flag. A script that still sets one is refused rather
-/// than silently run with the defaults.
+/// them, each with its flag (none for RADIO_BATCH, whose knob is gone). A
+/// script that still sets one is refused rather than silently run with the
+/// defaults.
 constexpr struct {
   const char* variable;
   const char* flag;
 } kRetiredVariables[] = {
     {"RADIO_TRIALS", "--trials"},   {"RADIO_SEED", "--seed"},
     {"RADIO_FULL", "--full"},       {"RADIO_CSV_DIR", "--csv"},
-    {"RADIO_BATCH", "--batch"},     {"RADIO_GRAPH_BACKEND", "--graph-backend"},
+    {"RADIO_BATCH", nullptr},       {"RADIO_GRAPH_BACKEND", "--graph-backend"},
     {"RADIO_RATE", "--rate"},       {"RADIO_HORIZON", "--horizon"},
 };
 
+/// Closes before checking: a full disk surfaces only when the buffer is
+/// flushed.
 bool write_text_file(const std::string& path, const std::string& content) {
   std::ofstream file(path, std::ios::binary);
-  if (!file) return false;
   file << content;
-  return static_cast<bool>(file);
+  file.close();
+  return !file.fail();
 }
 
 }  // namespace
@@ -203,13 +205,16 @@ std::vector<std::string> metrics_lines(const RunRecord& record) {
 
 int run_bench_cli(int argc, const char* const* argv) {
   for (const auto& retired : kRetiredVariables) {
-    if (std::getenv(retired.variable) != nullptr) {
+    if (std::getenv(retired.variable) == nullptr) continue;
+    if (retired.flag != nullptr)
       std::fprintf(stderr,
                    "radio_bench: %s is no longer read; unset it and pass %s "
                    "instead\n",
                    retired.variable, retired.flag);
-      return 2;
-    }
+    else
+      std::fprintf(stderr, "radio_bench: %s is no longer read; unset it\n",
+                   retired.variable);
+    return 2;
   }
 
   std::vector<std::string> args;
@@ -310,6 +315,11 @@ int run_bench_cli(int argc, const char* const* argv) {
       for (const std::string& line : metrics_lines(record))
         metrics << line << '\n';
       metrics.flush();
+      if (!metrics) {
+        std::fprintf(stderr, "radio_bench: cannot write %s/metrics.jsonl\n",
+                     command.out_dir.c_str());
+        return 1;
+      }
       std::fprintf(stderr, "[radio_bench] %s done in %.2fs, manifest %s\n",
                    id.c_str(), record.wall_seconds, manifest_path.c_str());
     } else {

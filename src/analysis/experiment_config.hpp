@@ -18,12 +18,6 @@ struct ExperimentConfig {
   std::uint64_t seed = 42;    ///< base seed; trial i uses stream (seed, i)
   bool quick = true;          ///< quick: smaller n grid for CI-speed runs
   std::string csv_path;       ///< when non-empty, the table is mirrored here
-  /// Lane width for the batched simulation core (sim/batch): experiments
-  /// whose inner probes share a graph instance (e.g. E7's schedule searches)
-  /// advance this many instances per kernel sweep. 1 = classic per-instance
-  /// engine. Results are byte-identical for any value — batch changes wall
-  /// time, never data (the sim/batch determinism contract).
-  int batch = 1;
   /// Graph backend for instance generation (graph/backend.hpp). kAuto lets
   /// the cost model pick per instance (bitmap generation for dense rows, CSR
   /// otherwise); kCsr/kBitmap force a materialized representation. kImplicit

@@ -2,111 +2,84 @@
 
 #include <algorithm>
 #include <cctype>
-#include <stdexcept>
+
+#include "analysis/experiments.hpp"
+#include "util/assert.hpp"
 
 namespace radio {
-namespace detail {
 
-// Link-time anchors defined by RADIO_REGISTER_EXPERIMENT in each driver.
-// Referencing them here forces every driver object file (and its static
-// registrar) out of libradio_analysis.a into any binary that touches the
-// registry. A driver missing from this list would silently vanish from
-// registry-only binaries — tests/analysis/test_registry.cpp counts to 18.
-void experiment_anchor_e1();
-void experiment_anchor_e2();
-void experiment_anchor_e3();
-void experiment_anchor_e4();
-void experiment_anchor_e5();
-void experiment_anchor_e6();
-void experiment_anchor_e7();
-void experiment_anchor_e8();
-void experiment_anchor_e9();
-void experiment_anchor_e10();
-void experiment_anchor_e11();
-void experiment_anchor_e12();
-void experiment_anchor_e13();
-void experiment_anchor_e14();
-void experiment_anchor_e15();
-void experiment_anchor_e16();
-void experiment_anchor_e17();
-void experiment_anchor_e18();
-
-namespace {
-
-void touch_all_anchors() {
-  experiment_anchor_e1();
-  experiment_anchor_e2();
-  experiment_anchor_e3();
-  experiment_anchor_e4();
-  experiment_anchor_e5();
-  experiment_anchor_e6();
-  experiment_anchor_e7();
-  experiment_anchor_e8();
-  experiment_anchor_e9();
-  experiment_anchor_e10();
-  experiment_anchor_e11();
-  experiment_anchor_e12();
-  experiment_anchor_e13();
-  experiment_anchor_e14();
-  experiment_anchor_e15();
-  experiment_anchor_e16();
-  experiment_anchor_e17();
-  experiment_anchor_e18();
-}
-
-}  // namespace
-}  // namespace detail
-
-namespace {
-
-std::string canonical_id(const std::string& id) {
-  std::string out = id;
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return std::toupper(c); });
-  return out;
-}
-
-/// Numeric ordinal of "E<k>"; 0 for anything else (sorts first).
-int ordinal(const std::string& id) {
-  if (id.size() < 2 || id[0] != 'E') return 0;
-  int value = 0;
-  for (std::size_t i = 1; i < id.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(id[i]))) return 0;
-    value = value * 10 + (id[i] - '0');
-  }
-  return value;
-}
-
-std::vector<ExperimentEntry>& storage() {
-  static std::vector<ExperimentEntry> entries;
+const std::vector<ExperimentEntry>& ExperimentRegistry::all() {
+  static const std::vector<ExperimentEntry> entries = {
+      {"E1",
+       "Theorem 5: centralized broadcast rounds vs n  (target ln n/ln d + "
+       "ln d)",
+       &run_e1_centralized_scaling},
+      {"E2",
+       "Theorem 5: rounds vs density at fixed n (diameter vs selective "
+       "term)",
+       &run_e2_centralized_density},
+      {"E3", "Theorem 7: distributed broadcast rounds vs n (target ln n)",
+       &run_e3_distributed_scaling},
+      {"E4", "Protocol comparison on G(n,p), d = ln^2 n",
+       &run_e4_protocol_comparison},
+      {"E5", "Lemma 3: BFS layer structure of G(n,p)",
+       &run_e5_layer_structure},
+      {"E6", "Lemma 4 / Proposition 2: independent coverings & matchings",
+       &run_e6_covering_matching},
+      {"E7", "Theorems 6 & 8: guided adversarial search (lower bounds)",
+       &run_e7_lower_bounds},
+      {"E8", "Dense regime p = 1 - f(n): rounds vs ln n / ln(1/f)",
+       &run_e8_dense_regime},
+      {"E9", "Theorem 5 ablations: what each design choice buys",
+       &run_e9_phase_ablation},
+      {"E10", "Gilbert G(n,p) vs Erdos-Renyi G(n,m): same broadcast times",
+       &run_e10_model_equivalence},
+      {"E11",
+       "Fault robustness: precomputed Thm-5 schedule vs adaptive Thm-7 "
+       "protocol under crashes and loss",
+       &run_e11_fault_robustness},
+      {"E12", "Radio gossiping on G(n,p): rounds to all-to-all completion",
+       &run_e12_gossip_scaling},
+      {"E13",
+       "Collision detection vs knowing p: adaptive backoff against "
+       "Theorem 7",
+       &run_e13_adaptive_backoff},
+      {"E14", "Multi-source broadcast: rounds vs number of sources k",
+       &run_e14_multisource},
+      {"E15",
+       "Structured topologies: radio broadcast where diameter dominates",
+       &run_e15_structured_topologies},
+      {"E16",
+       "Streaming throughput vs arrival rate: stability knee under the GHK "
+       "bound",
+       &run_e16_stream_throughput},
+      {"E17",
+       "Streaming latency distribution at fixed fractions of the GHK bound",
+       &run_e17_stream_latency},
+      {"E18",
+       "Giant-n streaming on the implicit backend: queue stability over "
+       "long horizons",
+       &run_e18_stream_giant},
+  };
   return entries;
 }
 
-}  // namespace
-
-void ExperimentRegistry::register_experiment(const char* id, const char* title,
-                                             ExperimentFn fn) {
-  const std::string canonical = canonical_id(id);
-  for (const ExperimentEntry& entry : storage())
-    if (entry.id == canonical)
-      throw std::logic_error("duplicate experiment id: " + canonical);
-  storage().push_back(ExperimentEntry{canonical, title, fn});
-  std::sort(storage().begin(), storage().end(),
-            [](const ExperimentEntry& a, const ExperimentEntry& b) {
-              return ordinal(a.id) < ordinal(b.id);
-            });
-}
-
-const std::vector<ExperimentEntry>& ExperimentRegistry::all() {
-  detail::touch_all_anchors();
-  return storage();
-}
-
 const ExperimentEntry* ExperimentRegistry::find(const std::string& id) {
-  const std::string canonical = canonical_id(id);
+  std::string canonical = id;
+  std::transform(canonical.begin(), canonical.end(), canonical.begin(),
+                 [](unsigned char c) { return std::toupper(c); });
   for (const ExperimentEntry& entry : all())
     if (entry.id == canonical) return &entry;
   return nullptr;
+}
+
+ExperimentResult ExperimentRegistry::new_result(const std::string& id) {
+  const ExperimentEntry* entry = find(id);
+  RADIO_EXPECTS(entry != nullptr);
+  ExperimentResult result;
+  result.id = entry->id;
+  result.title = entry->title;
+  return result;
 }
 
 }  // namespace radio

@@ -1,12 +1,9 @@
-// Static registry of the experiment drivers E1…E18.
+// The table of experiment drivers E1…E18.
 //
-// Each driver translation unit registers itself with
-// RADIO_REGISTER_EXPERIMENT at static-initialization time; the unified
-// `radio_bench` runner and the thin per-experiment bench wrappers resolve
-// experiments by id instead of hard-linking driver functions. Because the
-// drivers live in a static library, the registry keeps one link-time anchor
-// per driver (ensure_linked) so their registrar objects are never dropped
-// by the linker.
+// `radio_bench` resolves experiments by id through this table instead of
+// hard-linking driver functions. Each driver starts its result from
+// new_result(), so its title is written once, in the table; adding a driver
+// means declaring it in analysis/experiments.hpp and adding its row here.
 #pragma once
 
 #include <string>
@@ -26,37 +23,14 @@ struct ExperimentEntry {
 
 class ExperimentRegistry {
  public:
-  /// All registered experiments, sorted by numeric id (E1, E2, …, E18).
+  /// All experiments, in numeric id order (E1, E2, …, E18).
   static const std::vector<ExperimentEntry>& all();
 
   /// Case-insensitive lookup ("e10" and "E10" both match); nullptr if absent.
   static const ExperimentEntry* find(const std::string& id);
 
-  /// Called by detail::ExperimentRegistrar; asserts the id is unique.
-  static void register_experiment(const char* id, const char* title,
-                                  ExperimentFn fn);
+  /// An empty result carrying `id` and its title. Requires a known id.
+  static ExperimentResult new_result(const std::string& id);
 };
 
-namespace detail {
-
-struct ExperimentRegistrar {
-  ExperimentRegistrar(const char* id, const char* title, ExperimentFn fn) {
-    ExperimentRegistry::register_experiment(id, title, fn);
-  }
-};
-
-}  // namespace detail
 }  // namespace radio
-
-/// Registers `fn` under `id` (e.g. "E1"). `anchor` is a lowercase token
-/// unique per driver (e1 … e18); it names the link-time anchor the registry
-/// references so the driver's object file — and with it this registrar —
-/// always makes it into the final binary. Use at radio namespace scope.
-#define RADIO_REGISTER_EXPERIMENT(anchor, id, title, fn)               \
-  namespace detail {                                                   \
-  void experiment_anchor_##anchor() {}                                 \
-  }                                                                    \
-  namespace {                                                          \
-  const ::radio::detail::ExperimentRegistrar                           \
-      radio_experiment_registrar_##anchor{id, title, &fn};             \
-  }

@@ -1,9 +1,8 @@
 // The experiment drivers E1…E18 (see DESIGN.md §3). Each regenerates one
 // "table" of the reproduction: a Monte-Carlo sweep plus the model fits or
-// shape checks that stand in for the paper's asymptotic statements. Every
-// driver also registers itself in the ExperimentRegistry
-// (experiment_registry.hpp), which is how `radio_bench` and the bench
-// wrappers resolve them by id.
+// shape checks that stand in for the paper's asymptotic statements. The
+// ExperimentRegistry table (experiment_registry.cpp) names every driver
+// declared here, which is how `radio_bench` resolves them by id.
 #pragma once
 
 #include "analysis/experiment_config.hpp"

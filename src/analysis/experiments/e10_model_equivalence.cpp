@@ -36,9 +36,7 @@ Graph make_gnm_instance(NodeId n, EdgeCount m, Rng& rng) {
 }  // namespace
 
 ExperimentResult run_e10_model_equivalence(const ExperimentConfig& config) {
-  ExperimentResult result;
-  result.id = "E10";
-  result.title = "Gilbert G(n,p) vs Erdos-Renyi G(n,m): same broadcast times";
+  ExperimentResult result = ExperimentRegistry::new_result("E10");
   result.table = Table({"algorithm", "n", "d", "rounds Gnp", "rounds Gnm",
                         "Gnm/Gnp", "trials"});
 
@@ -118,10 +116,5 @@ ExperimentResult run_e10_model_equivalence(const ExperimentConfig& config) {
       "models apart.");
   return result;
 }
-
-RADIO_REGISTER_EXPERIMENT(
-    e10, "E10",
-    "Gilbert G(n,p) vs Erdos-Renyi G(n,m): same broadcast times",
-    run_e10_model_equivalence)
 
 }  // namespace radio

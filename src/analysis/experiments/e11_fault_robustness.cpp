@@ -22,11 +22,7 @@
 namespace radio {
 
 ExperimentResult run_e11_fault_robustness(const ExperimentConfig& config) {
-  ExperimentResult result;
-  result.id = "E11";
-  result.title =
-      "Fault robustness: precomputed Thm-5 schedule vs adaptive Thm-7 "
-      "protocol under crashes and loss";
+  ExperimentResult result = ExperimentRegistry::new_result("E11");
   result.table = Table({"fault model", "algorithm", "informed frac (alive)",
                         "completed", "rounds_mean", "trials"});
 
@@ -129,10 +125,5 @@ ExperimentResult run_e11_fault_robustness(const ExperimentConfig& config) {
       "stretches round counts.");
   return result;
 }
-
-RADIO_REGISTER_EXPERIMENT(e11, "E11",
-                          "Fault robustness: precomputed Thm-5 schedule vs "
-                          "adaptive Thm-7 protocol under crashes and loss",
-                          run_e11_fault_robustness)
 
 }  // namespace radio

@@ -24,9 +24,7 @@
 namespace radio {
 
 ExperimentResult run_e12_gossip_scaling(const ExperimentConfig& config) {
-  ExperimentResult result;
-  result.id = "E12";
-  result.title = "Radio gossiping on G(n,p): rounds to all-to-all completion";
+  ExperimentResult result = ExperimentRegistry::new_result("E12");
   result.table = Table({"protocol", "n", "d", "rounds_mean", "rounds_p95",
                         "coverage", "completed", "trials"});
 
@@ -120,9 +118,5 @@ ExperimentResult run_e12_gossip_scaling(const ExperimentConfig& config) {
       "pays its log-factor phase overhead.");
   return result;
 }
-
-RADIO_REGISTER_EXPERIMENT(
-    e12, "E12", "Radio gossiping on G(n,p): rounds to all-to-all completion",
-    run_e12_gossip_scaling)
 
 }  // namespace radio

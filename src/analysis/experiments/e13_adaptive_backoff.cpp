@@ -26,10 +26,7 @@
 namespace radio {
 
 ExperimentResult run_e13_adaptive_backoff(const ExperimentConfig& config) {
-  ExperimentResult result;
-  result.id = "E13";
-  result.title =
-      "Collision detection vs knowing p: adaptive backoff against Theorem 7";
+  ExperimentResult result = ExperimentRegistry::new_result("E13");
   result.table = Table({"protocol", "knows p", "collision detection", "n",
                         "rounds_mean", "rounds_p95", "completed", "trials"});
 
@@ -120,10 +117,5 @@ ExperimentResult run_e13_adaptive_backoff(const ExperimentConfig& config) {
       "learning premium.");
   return result;
 }
-
-RADIO_REGISTER_EXPERIMENT(
-    e13, "E13",
-    "Collision detection vs knowing p: adaptive backoff against Theorem 7",
-    run_e13_adaptive_backoff)
 
 }  // namespace radio

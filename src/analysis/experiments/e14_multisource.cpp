@@ -44,9 +44,7 @@ std::vector<NodeId> pick_distinct_sources(NodeId n, std::size_t k, Rng& rng) {
 }  // namespace
 
 ExperimentResult run_e14_multisource(const ExperimentConfig& config) {
-  ExperimentResult result;
-  result.id = "E14";
-  result.title = "Multi-source broadcast: rounds vs number of sources k";
+  ExperimentResult result = ExperimentRegistry::new_result("E14");
   result.table = Table({"n", "d", "k", "rounds_mean", "rounds_p95",
                         "vs k=1", "completed", "trials"});
 
@@ -105,9 +103,5 @@ ExperimentResult run_e14_multisource(const ExperimentConfig& config) {
       "to constants for every k.");
   return result;
 }
-
-RADIO_REGISTER_EXPERIMENT(
-    e14, "E14", "Multi-source broadcast: rounds vs number of sources k",
-    run_e14_multisource)
 
 }  // namespace radio

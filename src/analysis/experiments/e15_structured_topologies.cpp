@@ -60,10 +60,7 @@ std::vector<Topology> make_topologies(bool quick, Rng& rng) {
 }  // namespace
 
 ExperimentResult run_e15_structured_topologies(const ExperimentConfig& config) {
-  ExperimentResult result;
-  result.id = "E15";
-  result.title =
-      "Structured topologies: radio broadcast where diameter dominates";
+  ExperimentResult result = ExperimentRegistry::new_result("E15");
   result.table = Table({"topology", "n", "degree", "diameter~", "protocol",
                         "rounds_mean", "completed", "trials"});
 
@@ -135,10 +132,5 @@ ExperimentResult run_e15_structured_topologies(const ExperimentConfig& config) {
       "are the collision-dominated corner of a max(D, ln n) landscape.");
   return result;
 }
-
-RADIO_REGISTER_EXPERIMENT(
-    e15, "E15",
-    "Structured topologies: radio broadcast where diameter dominates",
-    run_e15_structured_topologies)
 
 }  // namespace radio

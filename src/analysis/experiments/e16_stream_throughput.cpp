@@ -38,11 +38,7 @@ constexpr double kRateFractions[] = {0.02, 0.05, 0.1, 0.2, 0.5, 1.0};
 }  // namespace
 
 ExperimentResult run_e16_stream_throughput(const ExperimentConfig& config) {
-  ExperimentResult result;
-  result.id = "E16";
-  result.title =
-      "Streaming throughput vs arrival rate: stability knee under the GHK "
-      "bound";
+  ExperimentResult result = ExperimentRegistry::new_result("E16");
   result.table =
       Table({"protocol", "n", "d", "rate", "rate_frac", "ghk_bound",
              "throughput", "backlog_growth", "stable", "trials"});
@@ -152,11 +148,5 @@ ExperimentResult run_e16_stream_throughput(const ExperimentConfig& config) {
       "satisfy rate <= ghk_bound (gated by bench_report.py --check).");
   return result;
 }
-
-RADIO_REGISTER_EXPERIMENT(
-    e16, "E16",
-    "Streaming throughput vs arrival rate: stability knee under the GHK "
-    "bound",
-    run_e16_stream_throughput)
 
 }  // namespace radio

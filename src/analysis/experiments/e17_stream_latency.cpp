@@ -34,10 +34,7 @@ constexpr double kRateFractions[] = {0.02, 0.05, 0.1, 0.15};
 }  // namespace
 
 ExperimentResult run_e17_stream_latency(const ExperimentConfig& config) {
-  ExperimentResult result;
-  result.id = "E17";
-  result.title =
-      "Streaming latency distribution at fixed fractions of the GHK bound";
+  ExperimentResult result = ExperimentRegistry::new_result("E17");
   result.table = Table({"n", "d", "rate", "rate_frac", "delivered",
                         "delivery_ratio", "lat_mean", "lat_p50", "lat_p95",
                         "lat_max", "max_queue", "trials"});
@@ -116,10 +113,5 @@ ExperimentResult run_e17_stream_latency(const ExperimentConfig& config) {
       "test).");
   return result;
 }
-
-RADIO_REGISTER_EXPERIMENT(
-    e17, "E17",
-    "Streaming latency distribution at fixed fractions of the GHK bound",
-    run_e17_stream_latency)
 
 }  // namespace radio

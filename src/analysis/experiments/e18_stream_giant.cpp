@@ -50,11 +50,7 @@ std::string trajectory_string(const StreamMetrics& metrics) {
 }  // namespace
 
 ExperimentResult run_e18_stream_giant(const ExperimentConfig& config) {
-  ExperimentResult result;
-  result.id = "E18";
-  result.title =
-      "Giant-n streaming on the implicit backend: queue stability over long "
-      "horizons";
+  ExperimentResult result = ExperimentRegistry::new_result("E18");
   result.table = Table({"n", "d", "rate", "rate_frac", "delivered",
                         "throughput", "waiting_end", "backlog_growth",
                         "stable", "queue_traj", "trials"});
@@ -130,11 +126,5 @@ ExperimentResult run_e18_stream_giant(const ExperimentConfig& config) {
       "on this light path.");
   return result;
 }
-
-RADIO_REGISTER_EXPERIMENT(
-    e18, "E18",
-    "Giant-n streaming on the implicit backend: queue stability over long "
-    "horizons",
-    run_e18_stream_giant)
 
 }  // namespace radio

@@ -42,10 +42,7 @@ constexpr Regime kRegimes[] = {
 }  // namespace
 
 ExperimentResult run_e1_centralized_scaling(const ExperimentConfig& config) {
-  ExperimentResult result;
-  result.id = "E1";
-  result.title =
-      "Theorem 5: centralized broadcast rounds vs n  (target ln n/ln d + ln d)";
+  ExperimentResult result = ExperimentRegistry::new_result("E1");
   result.table = Table({"regime", "n", "d", "trials", "rounds_mean",
                         "rounds_p95", "ecc_mean", "target", "mean/target",
                         "completed"});
@@ -130,10 +127,5 @@ ExperimentResult run_e1_centralized_scaling(const ExperimentConfig& config) {
       "means rounds track Theta(ln n/ln d + ln d).");
   return result;
 }
-
-RADIO_REGISTER_EXPERIMENT(
-    e1, "E1",
-    "Theorem 5: centralized broadcast rounds vs n  (target ln n/ln d + ln d)",
-    run_e1_centralized_scaling)
 
 }  // namespace radio

@@ -100,10 +100,7 @@ ExperimentResult run_e2_implicit_giant(const ExperimentConfig& config,
 }  // namespace
 
 ExperimentResult run_e2_centralized_density(const ExperimentConfig& config) {
-  ExperimentResult result;
-  result.id = "E2";
-  result.title =
-      "Theorem 5: rounds vs density at fixed n (diameter vs selective term)";
+  ExperimentResult result = ExperimentRegistry::new_result("E2");
   result.table =
       Table({"n", "d", "p", "trials", "rounds_mean", "rounds_p95", "phase1",
              "phase2", "phase3", "target", "mean/target"});
@@ -157,10 +154,5 @@ ExperimentResult run_e2_centralized_density(const ExperimentConfig& config) {
               " (bounded constant = the Theta() holds).");
   return result;
 }
-
-RADIO_REGISTER_EXPERIMENT(
-    e2, "E2",
-    "Theorem 5: rounds vs density at fixed n (diameter vs selective term)",
-    run_e2_centralized_density)
 
 }  // namespace radio

@@ -20,9 +20,7 @@
 namespace radio {
 
 ExperimentResult run_e3_distributed_scaling(const ExperimentConfig& config) {
-  ExperimentResult result;
-  result.id = "E3";
-  result.title = "Theorem 7: distributed broadcast rounds vs n (target ln n)";
+  ExperimentResult result = ExperimentRegistry::new_result("E3");
   result.table = Table({"variant", "n", "d", "trials", "rounds_mean",
                         "rounds_p95", "ln n", "mean/ln n", "completed"});
 
@@ -107,9 +105,5 @@ ExperimentResult run_e3_distributed_scaling(const ExperimentConfig& config) {
       "reproduces the O(ln n) w.h.p. bound of Theorem 7.");
   return result;
 }
-
-RADIO_REGISTER_EXPERIMENT(
-    e3, "E3", "Theorem 7: distributed broadcast rounds vs n (target ln n)",
-    run_e3_distributed_scaling)
 
 }  // namespace radio

@@ -68,9 +68,7 @@ void emit_row(Table& table, const std::string& name, const char* model,
 }  // namespace
 
 ExperimentResult run_e4_protocol_comparison(const ExperimentConfig& config) {
-  ExperimentResult result;
-  result.id = "E4";
-  result.title = "Protocol comparison on G(n,p), d = ln^2 n";
+  ExperimentResult result = ExperimentRegistry::new_result("E4");
   result.table = Table({"protocol", "model", "rounds_mean", "rounds_p95",
                         "tx_mean", "informed_frac", "completed", "budget"});
 
@@ -231,9 +229,5 @@ ExperimentResult run_e4_protocol_comparison(const ExperimentConfig& config) {
       "(collision stall) - that failure motivates the whole problem.");
   return result;
 }
-
-RADIO_REGISTER_EXPERIMENT(e4, "E4",
-                          "Protocol comparison on G(n,p), d = ln^2 n",
-                          run_e4_protocol_comparison)
 
 }  // namespace radio

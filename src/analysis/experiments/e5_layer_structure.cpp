@@ -25,9 +25,7 @@
 namespace radio {
 
 ExperimentResult run_e5_layer_structure(const ExperimentConfig& config) {
-  ExperimentResult result;
-  result.id = "E5";
-  result.title = "Lemma 3: BFS layer structure of G(n,p)";
+  ExperimentResult result = ExperimentRegistry::new_result("E5");
   result.table = Table({"regime", "layer", "size_mean", "d^i", "size/d^i",
                         "intra_edges", "multi_parent_frac", "1/d^2",
                         "sibling_max", "d"});
@@ -95,8 +93,5 @@ ExperimentResult run_e5_layer_structure(const ExperimentConfig& config) {
       "edges in small layers are O(1); sibling groups are O(d).");
   return result;
 }
-
-RADIO_REGISTER_EXPERIMENT(e5, "E5", "Lemma 3: BFS layer structure of G(n,p)",
-                          run_e5_layer_structure)
 
 }  // namespace radio

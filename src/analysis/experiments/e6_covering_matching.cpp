@@ -47,9 +47,7 @@ Split random_split(NodeId n, std::size_t x_size, std::size_t y_size,
 }  // namespace
 
 ExperimentResult run_e6_covering_matching(const ExperimentConfig& config) {
-  ExperimentResult result;
-  result.id = "E6";
-  result.title = "Lemma 4 / Proposition 2: independent coverings & matchings";
+  ExperimentResult result = ExperimentRegistry::new_result("E6");
   result.table = Table({"scenario", "|X|", "|Y|", "trials", "metric", "value",
                         "paper prediction"});
 
@@ -180,9 +178,5 @@ ExperimentResult run_e6_covering_matching(const ExperimentConfig& config) {
       "Prop 2 must hold on every draw.");
   return result;
 }
-
-RADIO_REGISTER_EXPERIMENT(
-    e6, "E6", "Lemma 4 / Proposition 2: independent coverings & matchings",
-    run_e6_covering_matching)
 
 }  // namespace radio

@@ -44,6 +44,12 @@
 namespace radio {
 namespace {
 
+/// Lane width of every search's batched probes. A search call evaluates at
+/// most 20 probes per generation and the scheduler clamps its lanes to that
+/// count, so any width of 20 or more runs the same; results are
+/// byte-identical for every width (the sim/batch determinism contract).
+constexpr std::uint32_t kSearchLanes = 32;
+
 /// Per-instance search outcome plus its certificate fields, flattened for
 /// run_trials aggregation.
 struct GuidedTrial {
@@ -87,19 +93,13 @@ ExperimentResult run_e7_lower_bounds(const ExperimentConfig& config) {
         "): each row certifies its hardest instance, which needs at least "
         "two instances to compare");
 
-  ExperimentResult result;
-  result.id = "E7";
-  result.title = "Theorems 6 & 8: guided adversarial search (lower bounds)";
+  ExperimentResult result = ExperimentRegistry::new_result("E7");
   result.table =
       Table({"experiment", "n", "budget", "probes", "best_rounds",
              "completed_frac", "diameter", "ln n", "best/ln n", "witness",
              "survived"});
   result.note("instances per row: " + std::to_string(config.trials) +
               " (honors --trials; earlier revisions clamped to trials/4)");
-
-  const auto lanes = static_cast<std::uint32_t>(
-      config.batch > 1 ? config.batch : 32);  // perf default; results are
-                                              // byte-identical for any width
 
   // Recorded provenance of the hardest certified Thm-8 instance, for the
   // stress rows: regenerating Rng::for_stream(row_seed, trial) replays the
@@ -125,7 +125,7 @@ ExperimentResult run_e7_lower_bounds(const ExperimentConfig& config) {
       search.generations = config.quick ? 12 : 32;
       search.population = config.quick ? 6 : 10;
       search.trials_per_candidate = 2;
-      search.batch_lanes = lanes;
+      search.batch_lanes = kSearchLanes;
 
       const std::uint64_t row_seed =
           derive_row_seed(config.seed, stream_tags::kE7LowerBounds, stream_tags::kRowThm8, n);
@@ -204,7 +204,7 @@ ExperimentResult run_e7_lower_bounds(const ExperimentConfig& config) {
       tight.round_budget = static_cast<std::uint32_t>(ln_n);
       tight.generations = config.quick ? 10 : 24;
       tight.population = config.quick ? 8 : 16;
-      tight.batch_lanes = lanes;
+      tight.batch_lanes = kSearchLanes;
       // Generous budget to locate the true completion scale (Theta(ln n)).
       GuidedSearchParams loose = tight;
       loose.round_budget = static_cast<std::uint32_t>(10.0 * ln_n);
@@ -383,9 +383,5 @@ ExperimentResult run_e7_lower_bounds(const ExperimentConfig& config) {
   }
   return result;
 }
-
-RADIO_REGISTER_EXPERIMENT(
-    e7, "E7", "Theorems 6 & 8: guided adversarial search (lower bounds)",
-    run_e7_lower_bounds)
 
 }  // namespace radio

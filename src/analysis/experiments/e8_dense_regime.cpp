@@ -21,9 +21,7 @@
 namespace radio {
 
 ExperimentResult run_e8_dense_regime(const ExperimentConfig& config) {
-  ExperimentResult result;
-  result.id = "E8";
-  result.title = "Dense regime p = 1 - f(n): rounds vs ln n / ln(1/f)";
+  ExperimentResult result = ExperimentRegistry::new_result("E8");
   result.table = Table({"n", "f", "p", "trials", "rounds_mean", "rounds_p95",
                         "target ln n/ln(1/f)", "mean/target", "completed"});
 
@@ -78,9 +76,5 @@ ExperimentResult run_e8_dense_regime(const ExperimentConfig& config) {
       "f = 1/2 the round count is ~log2 n, the hardest dense case.");
   return result;
 }
-
-RADIO_REGISTER_EXPERIMENT(e8, "E8",
-                          "Dense regime p = 1 - f(n): rounds vs ln n / ln(1/f)",
-                          run_e8_dense_regime)
 
 }  // namespace radio

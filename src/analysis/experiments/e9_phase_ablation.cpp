@@ -23,9 +23,7 @@
 namespace radio {
 
 ExperimentResult run_e9_phase_ablation(const ExperimentConfig& config) {
-  ExperimentResult result;
-  result.id = "E9";
-  result.title = "Theorem 5 ablations: what each design choice buys";
+  ExperimentResult result = ExperimentRegistry::new_result("E9");
   result.table = Table({"config", "rounds_mean", "rounds_p95", "phase1",
                         "phase2", "phase3", "tx_mean", "completed"});
 
@@ -122,9 +120,5 @@ ExperimentResult run_e9_phase_ablation(const ExperimentConfig& config) {
       "0.5/d and 2/d bracket the paper's 1/d optimum.");
   return result;
 }
-
-RADIO_REGISTER_EXPERIMENT(e9, "E9",
-                          "Theorem 5 ablations: what each design choice buys",
-                          run_e9_phase_ablation)
 
 }  // namespace radio

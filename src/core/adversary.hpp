@@ -3,8 +3,8 @@
 // reduces radio lower bounds to games where an explicit adversary is
 // *searched for*, not sampled).
 //
-// The blind probes in core/lower_bound.hpp estimate the oblivious optimum by
-// drawing K random schedules and reporting the best — a noisy order
+// The blind search in core/lower_bound.hpp estimates the oblivious optimum
+// by drawing K random schedules and reporting the best — a noisy order
 // statistic that made E7's Thm-8 fit the weakest in the suite. This engine
 // replaces the estimate with a (1+λ) local search: keep one incumbent
 // schedule, spawn λ mutants per generation, evaluate every mutant's trials
@@ -12,7 +12,7 @@
 // (population-as-lanes), and adopt a mutant only when its *worst* trial
 // strictly improves on the incumbent's. Probe u always draws from
 // Rng::for_stream(probe_seed, u), so the search trajectory — and every
-// number derived from it — is byte-identical for any --batch width and any
+// number derived from it — is byte-identical for any lane width and any
 // thread count (the sim/batch determinism contract).
 //
 // Each search emits a per-instance CERTIFICATE: the best schedule found, the

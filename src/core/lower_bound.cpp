@@ -7,7 +7,6 @@
 #include "graph/bfs.hpp"
 #include "sim/batch/batch_runner.hpp"
 #include "sim/runner.hpp"
-#include "sim/session.hpp"
 #include "util/assert.hpp"
 
 namespace radio {
@@ -122,66 +121,6 @@ ObliviousSearchOutcome search_oblivious_schedules(
   }
   outcome.completed_fraction =
       static_cast<double>(completed) / static_cast<double>(candidates.size());
-  return outcome;
-}
-
-SmallSetScheduleProtocol::SmallSetScheduleProtocol(NodeId max_set_size)
-    : max_set_size_(max_set_size) {
-  RADIO_EXPECTS(max_set_size >= 1);
-}
-
-void SmallSetScheduleProtocol::select_transmitters(std::uint32_t,
-                                                   const SessionView& session,
-                                                   Rng& rng,
-                                                   std::vector<NodeId>& out) {
-  pool_.clear();
-  session.informed_set().collect(pool_);  // no allocation per round
-  const NodeId size = static_cast<NodeId>(
-      1 +
-      rng.uniform_below(std::min<std::uint64_t>(max_set_size_, pool_.size())));
-  // Uniform distinct picks via partial shuffle of the pool tail.
-  for (NodeId k = 0; k < size; ++k) {
-    const std::size_t j =
-        k + static_cast<std::size_t>(rng.uniform_below(pool_.size() - k));
-    std::swap(pool_[k], pool_[j]);
-    out.push_back(pool_[k]);
-  }
-}
-
-SmallSetAdversaryOutcome probe_small_set_schedules(
-    const Graph& g, NodeId source, const SmallSetAdversaryParams& params,
-    Rng& rng) {
-  RADIO_EXPECTS(params.round_budget > 0);
-  RADIO_EXPECTS(params.num_schedules >= 1);
-  RADIO_EXPECTS(params.max_set_size >= 1);
-
-  // Schedule s draws from its own stream for_stream(probe_seed, s): the
-  // sampled schedules are identical whether they run per-instance or
-  // batch_lanes at a time on the shared graph.
-  const std::uint64_t probe_seed = rng();
-  const ProtocolContext ctx{g.num_nodes(), 0.5};  // p unused by the adversary
-  const ProtocolFactory factory = [&params](int) {
-    return std::make_unique<SmallSetScheduleProtocol>(params.max_set_size);
-  };
-  const std::vector<BroadcastRun> runs =
-      run_broadcast_batch(g, ctx, source, params.num_schedules, probe_seed, 0,
-                          factory, params.round_budget, params.batch_lanes);
-
-  SmallSetAdversaryOutcome outcome;
-  outcome.best_rounds = params.round_budget + 1;
-  int completed = 0;
-  std::uint64_t uninformed_sum = 0;
-  for (const BroadcastRun& run : runs) {
-    if (run.completed) {
-      ++completed;
-      outcome.best_rounds = std::min(outcome.best_rounds, run.rounds);
-    }
-    uninformed_sum += g.num_nodes() - run.informed;
-  }
-  outcome.completed_fraction = static_cast<double>(completed) /
-                               static_cast<double>(params.num_schedules);
-  outcome.mean_uninformed_left = static_cast<double>(uninformed_sum) /
-                                 static_cast<double>(params.num_schedules);
   return outcome;
 }
 

@@ -229,57 +229,4 @@ template FullMatching private_neighbor_matching<Graph>(const Graph&,
                                                        std::span<const NodeId>,
                                                        std::span<const NodeId>);
 
-std::vector<NodeId> greedy_independent_cover(const Graph& g,
-                                             std::span<const NodeId> x,
-                                             std::span<const NodeId> y) {
-  // Exact-cover flavoured greedy: maintain per-target hit counts; process
-  // targets by ascending candidate-degree (most constrained first); adding a
-  // candidate must not give any already-exactly-covered target a second hit.
-  const Bitset x_member = make_membership(g.num_nodes(), x);
-  const Bitset y_member = make_membership(g.num_nodes(), y);
-  std::vector<std::uint32_t> hits(g.num_nodes(), 0);  // per target
-
-  std::vector<NodeId> order(y.begin(), y.end());
-  std::vector<std::uint32_t> cand_degree(g.num_nodes(), 0);
-  for (NodeId target : y)
-    for (NodeId w : g.neighbors(target))
-      if (x_member.test(w)) ++cand_degree[target];
-  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    return cand_degree[a] != cand_degree[b] ? cand_degree[a] < cand_degree[b]
-                                            : a < b;
-  });
-
-  std::vector<NodeId> cover;
-  Bitset chosen(g.num_nodes());
-  for (NodeId target : order) {
-    if (hits[target] == 1) continue;  // already independently covered
-    if (hits[target] > 1) return {};  // overshoot: greedy failed
-    NodeId pick = kInvalidNode;
-    for (NodeId w : g.neighbors(target)) {
-      if (!x_member.test(w) || chosen.test(w)) continue;
-      // w must not touch any target already sitting at exactly one hit.
-      bool conflict = false;
-      for (NodeId z : g.neighbors(w)) {
-        if (y_member.test(z) && hits[z] >= 1) {
-          conflict = true;
-          break;
-        }
-      }
-      if (!conflict) {
-        pick = w;
-        break;
-      }
-    }
-    if (pick == kInvalidNode) return {};
-    chosen.set(pick);
-    cover.push_back(pick);
-    for (NodeId z : g.neighbors(pick))
-      if (y_member.test(z)) ++hits[z];
-  }
-  // Success iff every target ended at exactly one hit.
-  for (NodeId target : y)
-    if (hits[target] != 1) return {};
-  return cover;
-}
-
 }  // namespace radio

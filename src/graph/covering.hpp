@@ -149,15 +149,6 @@ FullMatching private_neighbor_matching(const G& g, std::span<const NodeId> x,
   return out;
 }
 
-/// Deterministic independent cover of ALL of Y from candidates X (used by
-/// Theorem 5's mop-up phase): greedily selects transmitters so every y ends
-/// with exactly one selected neighbor. Greedy can fail where the randomized
-/// argument would not; callers fall back to sampling. Returns empty on
-/// failure.
-std::vector<NodeId> greedy_independent_cover(const Graph& g,
-                                             std::span<const NodeId> x,
-                                             std::span<const NodeId> y);
-
 // ---------------------------------------------------------------------------
 // Helpers shared with the simulator.
 // ---------------------------------------------------------------------------

@@ -281,21 +281,4 @@ Graph generate_gnm(NodeId n, EdgeCount m, Rng& rng) {
   return Graph::from_edges(n, edges);
 }
 
-std::optional<Graph> generate_connected_gnp(const GnpParams& params, Rng& rng,
-                                            int max_attempts) {
-  RADIO_EXPECTS(max_attempts > 0);
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    Graph g = generate_gnp(params, rng);
-    if (g.num_nodes() <= 1 || is_connected(g)) return g;
-  }
-  return std::nullopt;
-}
-
-double connectivity_probability(NodeId n, double delta) noexcept {
-  if (n < 2) return 1.0;
-  const double p = delta * std::log(static_cast<double>(n)) /
-                   static_cast<double>(n);
-  return p > 1.0 ? 1.0 : p;
-}
-
 }  // namespace radio

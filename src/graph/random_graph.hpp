@@ -15,11 +15,11 @@
 //
 // Connectivity: the paper's regime p ≥ δ ln n / n makes G(n,p) connected
 // w.h.p., and all theorems are "w.h.p." statements. Experiments that need a
-// connected instance either resample (`generate_connected_gnp`) or restrict
-// to the giant component; both are reported explicitly by the harness.
+// connected instance take it from make_broadcast_instance
+// (analysis/workload.hpp), which resamples or restricts to the giant
+// component and records which it did.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "graph/backend.hpp"
@@ -103,16 +103,5 @@ Graph generate_gnp_backend(const GnpParams& params, Rng& rng,
 /// Samples G(n,m): exactly m distinct edges uniformly at random among all
 /// simple graphs with m edges. Requires m <= n(n-1)/2.
 Graph generate_gnm(NodeId n, EdgeCount m, Rng& rng);
-
-/// Resamples G(n,p) until connected, up to `max_attempts` draws.
-/// Returns nullopt if every attempt was disconnected (caller decides whether
-/// that falsifies a w.h.p. claim or the parameters are out of regime).
-std::optional<Graph> generate_connected_gnp(const GnpParams& params, Rng& rng,
-                                            int max_attempts = 50);
-
-/// The connectivity threshold degree: d = ln n is the sharp threshold; the
-/// paper uses p >= delta * ln n / n with delta chosen so connectivity holds
-/// w.h.p. This helper returns delta * ln(n) / n.
-double connectivity_probability(NodeId n, double delta = 2.0) noexcept;
 
 }  // namespace radio

@@ -59,10 +59,6 @@ void BatchEngine::open_lane(std::uint32_t lane, NodeId source) {
   outcome_[lane] = LaneOutcome{};
 }
 
-void BatchEngine::add_transmitter(std::uint32_t lane, NodeId v) {
-  add_transmitters(lane, std::span<const NodeId>(&v, 1));
-}
-
 void BatchEngine::add_transmitters(std::uint32_t lane,
                                    std::span<const NodeId> vs) {
   RADIO_EXPECTS(lane < lane_count_);

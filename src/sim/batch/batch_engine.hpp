@@ -85,13 +85,10 @@ class BatchEngine {
                        informed_count_[lane]);
   }
 
-  /// Registers v as a transmitter of `lane` for the upcoming step().
-  /// Duplicate (lane, v) pairs are caller bugs, as in RadioEngine.
-  void add_transmitter(std::uint32_t lane, NodeId v);
-
-  /// Bulk form of add_transmitter: registers every node of `vs` for `lane`.
-  /// One lane-mask/mirror setup amortized over the whole set — the scheduler
-  /// feeds each lane's per-round transmitter list through this.
+  /// Registers every node of `vs` as a transmitter of `lane` for the
+  /// upcoming step(). Duplicate (lane, v) pairs are caller bugs, as in
+  /// RadioEngine. One lane-mask/mirror setup amortized over the whole set —
+  /// the scheduler feeds each lane's per-round transmitter list through this.
   void add_transmitters(std::uint32_t lane, std::span<const NodeId> vs);
 
   /// Executes one synchronous round for every lane in `active` (ascending

@@ -23,14 +23,15 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/graph.hpp"
 #include "sim/batch/batch_scheduler.hpp"
 #include "sim/runner.hpp"
 
 namespace radio {
 
-/// Total bytes of batch lane state allowed (planes + mirrors); chosen to
-/// match the dense kernel's adjacency-bitmap cap (sim/channel_kernel.hpp).
-inline constexpr std::size_t kBatchStateByteLimit = std::size_t{1} << 30;
+/// Total bytes of batch lane state allowed (planes + mirrors): the same cap
+/// as an adjacency bitmap's (graph/graph.hpp).
+inline constexpr std::size_t kBatchStateByteLimit = kBitmapByteLimit;
 
 /// Bytes of lane state a B-lane engine holds on g (4 planes of
 /// n·⌈B/64⌉ words plus per-lane informed mirror and round array).
@@ -42,7 +43,7 @@ std::size_t batch_state_bytes(const Graph& g, std::uint32_t lanes) noexcept;
 std::uint32_t batch_lanes_for(const Graph& g, std::uint32_t requested) noexcept;
 
 /// Which execution path the dispatcher chose, and why. Previously the
-/// observation-feedback fallback was silent: a caller asking for --batch 64
+/// observation-feedback fallback was silent: a caller asking for 64 lanes
 /// with a wants_observations protocol got per-instance execution with no
 /// record, so speedup accounting quietly lied. The plan makes every
 /// fallback reportable (and testable — tests/analysis/
@@ -55,7 +56,7 @@ struct BatchDispatch {
   const char* reason = "";    ///< why per-instance; "" when batched
 };
 
-/// Pure cost-model decision for run_broadcast_batch/run_batched_trials:
+/// Pure cost-model decision for run_broadcast_batch:
 /// clamps `requested_lanes` via batch_lanes_for and reports per-instance
 /// for degenerate trial counts or observation-feedback protocols (probes
 /// factory(0) once; `factory` must be pure).
@@ -66,9 +67,8 @@ BatchDispatch plan_broadcast_batch(const Graph& g, int trials,
 /// Runs `trials` broadcasts of factory(t) on the SHARED graph g from
 /// `source`, trial t drawing from Rng::for_stream(seed, first_stream + t),
 /// batched `lanes` wide when the cost model approves and per-instance
-/// otherwise. Serial (no OpenMP): callers already inside a parallel trial
-/// region use this directly; top-level callers use run_batched_trials
-/// (analysis/trial_runner.hpp) which chunks across threads.
+/// otherwise. Serial (no OpenMP): callers run it inside their own trial,
+/// e.g. one adversary search per run_trials trial.
 ///
 /// `factory` must be pure (no side effects): the dispatcher probes
 /// factory(0) once to detect observation-feedback protocols.

@@ -73,9 +73,6 @@ class RadioEngine {
                                            : PathMode::kForceSparse;
   }
 
-  /// Restores cost-model path selection (the default).
-  void auto_path() noexcept { path_mode_ = PathMode::kAuto; }
-
   /// Which path the most recent step() executed.
   RoundPath last_path() const noexcept { return last_path_; }
 

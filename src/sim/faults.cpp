@@ -15,12 +15,4 @@ SessionFaults make_crash_faults(NodeId n, double fraction, NodeId protect,
   return faults;
 }
 
-SessionFaults make_loss_faults(double loss, std::uint64_t seed) {
-  RADIO_EXPECTS(loss >= 0.0 && loss < 1.0);
-  SessionFaults faults;
-  faults.loss = loss;
-  faults.seed = seed;
-  return faults;
-}
-
 }  // namespace radio

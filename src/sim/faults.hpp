@@ -32,7 +32,4 @@ struct SessionFaults {
 SessionFaults make_crash_faults(NodeId n, double fraction, NodeId protect,
                                 Rng& rng);
 
-/// Pure loss plan (no crashes).
-SessionFaults make_loss_faults(double loss, std::uint64_t seed);
-
 }  // namespace radio

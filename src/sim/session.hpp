@@ -78,7 +78,6 @@ class BroadcastSession {
   /// Pins the engine's execution path (tests/benches only). Both paths are
   /// exact — see the determinism contract in sim/engine.hpp.
   void force_path(RoundPath path) noexcept { engine_.force_path(path); }
-  void auto_path() noexcept { engine_.auto_path(); }
 
   /// Valid after a step() when observations are enabled.
   std::span<const ChannelObservation> last_observations() const noexcept {

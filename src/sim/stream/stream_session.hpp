@@ -30,8 +30,7 @@
 // arrivals, one for protocol coin flips, with disjoint tag bits so neither
 // stream can collide with a plain trial stream. A StreamSession is a pure
 // function of (graph, context, protocol, config): results are byte-identical
-// across thread counts, --batch widths (which parallelize across sessions,
-// never inside one) and graph backends holding the same edges; pinned by
+// across thread counts and graph backends holding the same edges; pinned by
 // tests/analysis/test_stream_determinism.cpp and
 // tests/analysis/test_stream_workload.cpp.
 #pragma once

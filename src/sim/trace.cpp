@@ -4,21 +4,6 @@
 
 namespace radio {
 
-Table trace_table(const BroadcastSession& session) {
-  Table table({"round", "transmitters", "newly_informed", "collisions",
-               "redundant", "informed_total"});
-  for (const RoundStats& s : session.history()) {
-    table.row()
-        .cell(static_cast<std::uint64_t>(s.round))
-        .cell(static_cast<std::uint64_t>(s.transmitters))
-        .cell(static_cast<std::uint64_t>(s.newly_informed))
-        .cell(static_cast<std::uint64_t>(s.collisions))
-        .cell(static_cast<std::uint64_t>(s.wasted))
-        .cell(s.informed_total);
-  }
-  return table;
-}
-
 std::string trace_summary(const BroadcastSession& session) {
   std::ostringstream out;
   if (session.complete()) {

@@ -7,10 +7,6 @@
 
 namespace radio {
 
-/// One row per executed round: round, transmitters, newly informed,
-/// collisions, redundant receptions, cumulative informed.
-Table trace_table(const BroadcastSession& session);
-
 /// Compact single-line summary, e.g. for example binaries:
 /// "completed in 17 rounds, 12 collisions, 1024/1024 informed".
 std::string trace_summary(const BroadcastSession& session);

@@ -4,13 +4,6 @@
 
 namespace radio {
 
-std::size_t popcount_words(const std::uint64_t* words, std::size_t n) noexcept {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    total += static_cast<std::size_t>(std::popcount(words[i]));
-  return total;
-}
-
 std::size_t Bitset::count() const noexcept {
   std::size_t total = 0;
   for (auto w : words_) total += static_cast<std::size_t>(std::popcount(w));
@@ -51,17 +44,6 @@ std::size_t Bitset::set_union(const Bitset& other) noexcept {
     words_[wi] = merged;
   }
   return gained;
-}
-
-std::size_t Bitset::find_first_clear() const noexcept {
-  for (std::size_t wi = 0; wi < words_.size(); ++wi) {
-    const std::uint64_t w = ~words_[wi];
-    if (w != 0) {
-      const std::size_t idx = wi * 64 + static_cast<std::size_t>(std::countr_zero(w));
-      return idx < size_ ? idx : size_;
-    }
-  }
-  return size_;
 }
 
 }  // namespace radio

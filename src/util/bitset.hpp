@@ -27,12 +27,6 @@ inline constexpr std::size_t words_for_bits(std::size_t n) noexcept {
 // mutators, so whole-word sweeps need no tail masking.
 // ---------------------------------------------------------------------------
 
-/// dst |= src, word by word.
-inline void or_words(std::uint64_t* dst, const std::uint64_t* src,
-                     std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) dst[i] |= src[i];
-}
-
 /// a & ~b — the "listeners only" mask builder.
 inline std::uint64_t andnot(std::uint64_t a, std::uint64_t b) noexcept {
   return a & ~b;
@@ -48,9 +42,6 @@ inline void accumulate_hits_words(std::uint64_t* once, std::uint64_t* twice,
     once[i] |= row[i];
   }
 }
-
-/// Total population count of a word array.
-std::size_t popcount_words(const std::uint64_t* words, std::size_t n) noexcept;
 
 /// Calls fn(base + bit) for every set bit of `word`, ascending.
 template <class Fn>
@@ -120,9 +111,6 @@ class Bitset {
 
   /// Appends the indices of all set bits to `out` in increasing order.
   void collect(std::vector<std::uint32_t>& out) const;
-
-  /// Index of the lowest clear bit, or size() if all bits are set.
-  std::size_t find_first_clear() const noexcept;
 
   /// In-place union with an equally sized bitset; returns how many bits
   /// newly flipped to set (the gossip session's knowledge-merge primitive).

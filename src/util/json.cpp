@@ -1,19 +1,14 @@
 #include "util/json.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
+#include <string>
+
+#include "util/assert.hpp"
 
 namespace radio {
 namespace {
-
-[[noreturn]] void type_error(const char* expected, Json::Type got) {
-  throw std::runtime_error(std::string("json: expected ") + expected +
-                           ", value has type #" +
-                           std::to_string(static_cast<int>(got)));
-}
 
 void append_escaped(std::string& out, const std::string& s) {
   out += '"';
@@ -50,302 +45,15 @@ void append_double(std::string& out, double value) {
   out.append(buf, res.ptr);
 }
 
-class Parser {
- public:
-  // A hostile document is all "[" — unbounded recursion segfaults long
-  // before malloc minds. 128 levels is ~10x deeper than any manifest.
-  static constexpr int kMaxDepth = 128;
-
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Json run() {
-    Json value = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after document");
-    return value;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("json parse error at byte " +
-                             std::to_string(pos_) + ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') ++pos_;
-      else break;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-
-  Json parse_value() {
-    skip_ws();
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return Json(parse_string());
-      case 't':
-        if (consume_literal("true")) return Json(true);
-        fail("invalid literal");
-      case 'f':
-        if (consume_literal("false")) return Json(false);
-        fail("invalid literal");
-      case 'n':
-        if (consume_literal("null")) return Json(nullptr);
-        fail("invalid literal");
-      default: return parse_number();
-    }
-  }
-
-  Json parse_object() {
-    expect('{');
-    if (++depth_ > kMaxDepth) fail("nesting deeper than 128 levels");
-    Json obj = Json::object();
-    skip_ws();
-    if (peek() == '}') { ++pos_; --depth_; return obj; }
-    while (true) {
-      skip_ws();
-      if (peek() != '"') fail("expected string key");
-      std::string key = parse_string();
-      if (obj.contains(key)) fail("duplicate key '" + key + "'");
-      skip_ws();
-      expect(':');
-      obj.set(std::move(key), parse_value());
-      skip_ws();
-      const char c = peek();
-      ++pos_;
-      if (c == '}') { --depth_; return obj; }
-      if (c != ',') fail("expected ',' or '}' in object");
-    }
-  }
-
-  Json parse_array() {
-    expect('[');
-    if (++depth_ > kMaxDepth) fail("nesting deeper than 128 levels");
-    Json arr = Json::array();
-    skip_ws();
-    if (peek() == ']') { ++pos_; --depth_; return arr; }
-    while (true) {
-      arr.push_back(parse_value());
-      skip_ws();
-      const char c = peek();
-      ++pos_;
-      if (c == ']') { --depth_; return arr; }
-      if (c != ',') fail("expected ',' or ']' in array");
-    }
-  }
-
-  unsigned parse_hex4() {
-    if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-    unsigned value = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = text_[pos_++];
-      value <<= 4;
-      if (c >= '0' && c <= '9') value |= static_cast<unsigned>(c - '0');
-      else if (c >= 'a' && c <= 'f') value |= static_cast<unsigned>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F') value |= static_cast<unsigned>(c - 'A' + 10);
-      else fail("invalid \\u escape digit");
-    }
-    return value;
-  }
-
-  void append_utf8(std::string& out, unsigned cp) {
-    if (cp < 0x80) {
-      out += static_cast<char>(cp);
-    } else if (cp < 0x800) {
-      out += static_cast<char>(0xC0 | (cp >> 6));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else if (cp < 0x10000) {
-      out += static_cast<char>(0xE0 | (cp >> 12));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else {
-      out += static_cast<char>(0xF0 | (cp >> 18));
-      out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const unsigned char c = static_cast<unsigned char>(text_[pos_++]);
-      if (c == '"') return out;
-      if (c < 0x20) fail("raw control character in string");
-      if (c != '\\') { out += static_cast<char>(c); continue; }
-      if (pos_ >= text_.size()) fail("truncated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          unsigned cp = parse_hex4();
-          if (cp >= 0xD800 && cp <= 0xDBFF) {  // high surrogate
-            if (pos_ + 1 < text_.size() && text_[pos_] == '\\' &&
-                text_[pos_ + 1] == 'u') {
-              pos_ += 2;
-              const unsigned lo = parse_hex4();
-              if (lo < 0xDC00 || lo > 0xDFFF) fail("invalid surrogate pair");
-              cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-            } else {
-              fail("unpaired surrogate");
-            }
-          }
-          append_utf8(out, cp);
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  Json parse_number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-    bool integral = true;
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      integral = false;
-      ++pos_;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        ++pos_;
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      integral = false;
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
-        ++pos_;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        ++pos_;
-    }
-    const std::string_view token = text_.substr(start, pos_ - start);
-    if (token.empty() || token == "-") fail("invalid number");
-    const char* first = token.data();
-    const char* last = token.data() + token.size();
-    if (integral) {
-      if (token[0] == '-') {
-        std::int64_t v = 0;
-        if (std::from_chars(first, last, v).ec == std::errc{} ) return Json(v);
-      } else {
-        std::uint64_t v = 0;
-        if (std::from_chars(first, last, v).ec == std::errc{}) {
-          if (v <= static_cast<std::uint64_t>(INT64_MAX))
-            return Json(static_cast<std::int64_t>(v));
-          return Json(v);
-        }
-      }
-      // fall through to double on int64/uint64 overflow
-    }
-    double v = 0.0;
-    const auto res = std::from_chars(first, last, v);
-    if (res.ec != std::errc{} || res.ptr != last) fail("invalid number");
-    return Json(v);
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-};
-
 }  // namespace
 
-bool Json::as_bool() const {
-  if (type_ != Type::kBool) type_error("bool", type_);
-  return bool_;
-}
-
-double Json::as_double() const {
-  switch (type_) {
-    case Type::kInt: return static_cast<double>(int_);
-    case Type::kUint: return static_cast<double>(uint_);
-    case Type::kDouble: return double_;
-    default: type_error("number", type_);
-  }
-}
-
-std::int64_t Json::as_int64() const {
-  switch (type_) {
-    case Type::kInt: return int_;
-    case Type::kUint:
-      if (uint_ > static_cast<std::uint64_t>(INT64_MAX))
-        throw std::runtime_error("json: uint value exceeds int64 range");
-      return static_cast<std::int64_t>(uint_);
-    case Type::kDouble: return static_cast<std::int64_t>(double_);
-    default: type_error("number", type_);
-  }
-}
-
-std::uint64_t Json::as_uint64() const {
-  switch (type_) {
-    case Type::kInt:
-      if (int_ < 0) throw std::runtime_error("json: negative value as uint64");
-      return static_cast<std::uint64_t>(int_);
-    case Type::kUint: return uint_;
-    case Type::kDouble: return static_cast<std::uint64_t>(double_);
-    default: type_error("number", type_);
-  }
-}
-
-const std::string& Json::as_string() const {
-  if (type_ != Type::kString) type_error("string", type_);
-  return string_;
-}
-
 void Json::push_back(Json value) {
-  if (type_ != Type::kArray) type_error("array", type_);
+  RADIO_EXPECTS(type_ == Type::kArray);
   array_.push_back(std::move(value));
 }
 
-std::size_t Json::size() const noexcept {
-  if (type_ == Type::kArray) return array_.size();
-  if (type_ == Type::kObject) return object_.size();
-  return 0;
-}
-
-const Json& Json::at(std::size_t index) const {
-  if (type_ != Type::kArray) type_error("array", type_);
-  if (index >= array_.size())
-    throw std::runtime_error("json: array index out of range");
-  return array_[index];
-}
-
-const Json::Array& Json::items() const {
-  if (type_ != Type::kArray) type_error("array", type_);
-  return array_;
-}
-
 Json& Json::set(std::string key, Json value) {
-  if (type_ != Type::kObject) type_error("object", type_);
+  RADIO_EXPECTS(type_ == Type::kObject);
   for (auto& [k, v] : object_) {
     if (k == key) {
       v = std::move(value);
@@ -354,25 +62,6 @@ Json& Json::set(std::string key, Json value) {
   }
   object_.emplace_back(std::move(key), std::move(value));
   return *this;
-}
-
-const Json* Json::find(std::string_view key) const {
-  if (type_ != Type::kObject) type_error("object", type_);
-  for (const auto& [k, v] : object_)
-    if (k == key) return &v;
-  return nullptr;
-}
-
-const Json& Json::at(std::string_view key) const {
-  const Json* found = find(key);
-  if (!found)
-    throw std::runtime_error("json: missing key '" + std::string(key) + "'");
-  return *found;
-}
-
-const Json::Object& Json::entries() const {
-  if (type_ != Type::kObject) type_error("object", type_);
-  return object_;
 }
 
 void Json::dump_to(std::string& out, int indent, int depth) const {
@@ -422,7 +111,5 @@ std::string Json::dump(int indent) const {
   dump_to(out, indent, 0);
   return out;
 }
-
-Json Json::parse(std::string_view text) { return Parser(text).run(); }
 
 }  // namespace radio

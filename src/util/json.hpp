@@ -1,18 +1,17 @@
-// Minimal JSON value type with a writer and a strict parser.
+// Minimal JSON writer.
 //
 // The bench runner emits machine-readable run manifests and JSONL metric
-// streams (DESIGN.md "Observability & provenance"); tests and
-// scripts/bench_report.py read them back. No third-party JSON library is
-// available in the build image, and the documents are small, so a compact
-// recursive value type is the right size: objects preserve insertion order
-// (manifests diff cleanly), integers survive round-trips exactly (seeds are
-// full 64-bit values), and doubles print shortest-round-trip via
-// std::to_chars.
+// streams (DESIGN.md "Observability & provenance"); scripts/bench_report.py
+// reads them back with Python's json module, so the program itself only
+// writes JSON. No third-party JSON library is available in the build image,
+// and the documents are small, so a compact recursive value type is the
+// right size: objects preserve insertion order (manifests diff cleanly),
+// integers print exactly (seeds are full 64-bit values), and doubles print
+// shortest-round-trip via std::to_chars.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -20,13 +19,6 @@ namespace radio {
 
 class Json {
  public:
-  enum class Type { kNull, kBool, kInt, kUint, kDouble, kString, kArray,
-                    kObject };
-
-  using Array = std::vector<Json>;
-  /// Insertion-ordered key/value pairs; keys are unique (set() overwrites).
-  using Object = std::vector<std::pair<std::string, Json>>;
-
   Json() noexcept : type_(Type::kNull) {}
   Json(std::nullptr_t) noexcept : type_(Type::kNull) {}
   Json(bool value) noexcept : type_(Type::kBool), bool_(value) {}
@@ -40,49 +32,20 @@ class Json {
   static Json array() { Json j; j.type_ = Type::kArray; return j; }
   static Json object() { Json j; j.type_ = Type::kObject; return j; }
 
-  Type type() const noexcept { return type_; }
-  bool is_null() const noexcept { return type_ == Type::kNull; }
-  bool is_bool() const noexcept { return type_ == Type::kBool; }
-  bool is_number() const noexcept {
-    return type_ == Type::kInt || type_ == Type::kUint ||
-           type_ == Type::kDouble;
-  }
-  bool is_string() const noexcept { return type_ == Type::kString; }
-  bool is_array() const noexcept { return type_ == Type::kArray; }
-  bool is_object() const noexcept { return type_ == Type::kObject; }
-
-  /// Typed accessors; throw std::runtime_error on a type mismatch.
-  bool as_bool() const;
-  double as_double() const;            ///< any numeric kind, widened
-  std::int64_t as_int64() const;       ///< exact for kInt/kUint in range
-  std::uint64_t as_uint64() const;     ///< exact for non-negative integers
-  const std::string& as_string() const;
-
-  // -- array interface --
+  /// Appends to an array.
   void push_back(Json value);
-  std::size_t size() const noexcept;   ///< elements (array) or keys (object)
-  const Json& at(std::size_t index) const;
-  const Array& items() const;
 
-  // -- object interface --
-  Json& set(std::string key, Json value);  ///< append or overwrite; *this
-  const Json* find(std::string_view key) const;  ///< nullptr when absent
-  const Json& at(std::string_view key) const;    ///< throws when absent
-  bool contains(std::string_view key) const { return find(key) != nullptr; }
-  const Object& entries() const;
+  /// Appends a key to an object, or overwrites it in place; returns *this.
+  Json& set(std::string key, Json value);
 
   /// Serializes. indent < 0 → compact single line (JSONL); indent >= 0 →
   /// pretty-printed with that many spaces per level.
   std::string dump(int indent = -1) const;
 
-  /// Strict parse of a complete document; throws std::runtime_error with a
-  /// byte offset on malformed input or trailing garbage. Hostile documents
-  /// are bounded: nesting beyond 128 levels, duplicate object keys, and
-  /// non-finite / overflowing number literals are all parse errors rather
-  /// than stack overflows or silently lossy values.
-  static Json parse(std::string_view text);
-
  private:
+  enum class Type { kNull, kBool, kInt, kUint, kDouble, kString, kArray,
+                    kObject };
+
   void dump_to(std::string& out, int indent, int depth) const;
 
   Type type_;
@@ -91,8 +54,8 @@ class Json {
   std::uint64_t uint_ = 0;
   double double_ = 0.0;
   std::string string_;
-  Array array_;
-  Object object_;
+  std::vector<Json> array_;
+  std::vector<std::pair<std::string, Json>> object_;
 };
 
 }  // namespace radio

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "util/assert.hpp"
+
 namespace radio {
 
 std::uint64_t Xoshiro256StarStar::uniform_below(std::uint64_t bound) noexcept {

@@ -20,8 +20,6 @@
 #include <limits>
 #include <string_view>
 
-#include "util/assert.hpp"
-
 namespace radio {
 
 /// SplitMix64: 64-bit state scrambler used for seeding and stream splitting.
@@ -93,12 +91,6 @@ class Xoshiro256StarStar {
   /// Unbiased uniform integer in [0, bound) via Lemire's multiply-shift
   /// rejection method. Requires bound > 0.
   std::uint64_t uniform_below(std::uint64_t bound) noexcept;
-
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::uint64_t uniform_in(std::uint64_t lo, std::uint64_t hi) noexcept {
-    RADIO_EXPECTS(lo <= hi);
-    return lo + uniform_below(hi - lo + 1);
-  }
 
   /// Bernoulli draw with success probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept {

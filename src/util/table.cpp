@@ -102,10 +102,11 @@ void Table::print(const std::string& title) const {
 }
 
 bool Table::write_csv(const std::string& path) const {
+  // Closed before the check: a full disk surfaces only at the flush.
   std::ofstream file(path);
-  if (!file) return false;
   file << to_csv();
-  return static_cast<bool>(file);
+  file.close();
+  return !file.fail();
 }
 
 }  // namespace radio

@@ -1,8 +1,7 @@
 // The sim/batch determinism contract, scheduler half: trial t of a batched
 // run is byte-identical to broadcast_with(factory(t), …,
-// Rng::for_stream(seed, first_stream + t), …) for ANY lane count, any
-// chunking, and any OpenMP thread count — lane packing and compaction change
-// wall time, never data. This is the dynamic pin of the per-trial seed
+// Rng::for_stream(seed, first_stream + t), …) for ANY lane count — lane
+// packing and compaction change wall time, never data. This is the dynamic pin of the per-trial seed
 // derivation documented in util/rng.hpp (lane independence).
 #include <gtest/gtest.h>
 
@@ -10,7 +9,6 @@
 #include <memory>
 #include <vector>
 
-#include "analysis/trial_runner.hpp"
 #include "graph/random_graph.hpp"
 #include "protocols/decay.hpp"
 #include "sim/batch/batch_runner.hpp"
@@ -132,8 +130,8 @@ TEST(BatchDeterminism, RunBatchedTrialsIsByteIdenticalAcrossBatchWidths) {
   const std::vector<BroadcastRun> expected =
       reference_runs(g, ctx, 1, trials, seed, 0, decay_factory(), max_rounds);
   for (std::uint32_t batch : {1u, 8u, 64u}) {
-    const std::vector<BroadcastRun> got = run_batched_trials(
-        g, ctx, 1, trials, seed, decay_factory(), max_rounds, batch);
+    const std::vector<BroadcastRun> got = run_broadcast_batch(
+        g, ctx, 1, trials, seed, 0, decay_factory(), max_rounds, batch);
     ASSERT_EQ(got.size(), expected.size()) << "batch=" << batch;
     for (int t = 0; t < trials; ++t)
       EXPECT_TRUE(same_run(got[static_cast<std::size_t>(t)],

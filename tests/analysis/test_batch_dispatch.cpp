@@ -1,9 +1,9 @@
 // BatchDispatch regression (sim/batch/batch_runner.hpp): the cost model's
 // routing decision is reported, not silent. The load-bearing case is the
-// observation-feedback fallback — run_batched_trials used to chunk trials
+// observation-feedback fallback — the batch runner used to chunk trials
 // for the batch core and then fall back serially INSIDE each chunk when the
 // protocol wants per-node observations, reporting nothing; now the plan
-// short-circuits to the top-level per-instance path and says why. These
+// short-circuits to the per-instance path and says why. These
 // tests pin the reported path/reason for each branch and that dispatch
 // routing never changes results.
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "graph/random_graph.hpp"
 #include "protocols/adaptive_backoff.hpp"
 #include "protocols/decay.hpp"
+#include "sim/batch/batch_runner.hpp"
 
 namespace radio {
 namespace {
@@ -81,11 +82,11 @@ TEST(BatchDispatch, ObservationFallbackMatchesPerInstanceReference) {
   const int trials = 6;
   const std::uint32_t max_rounds = 4000;
 
-  BatchDispatch dispatch;
-  const auto routed = run_batched_trials(g, ctx, 0, trials, seed, factory,
-                                         max_rounds, 16, &dispatch);
+  const BatchDispatch dispatch = plan_broadcast_batch(g, trials, factory, 16);
   EXPECT_EQ(dispatch.path, BatchDispatch::Path::kPerInstance);
   EXPECT_EQ(std::string(dispatch.reason), "observation-feedback protocol");
+  const auto routed = run_broadcast_batch(g, ctx, 0, trials, seed, 0, factory,
+                                          max_rounds, 16);
 
   const auto reference =
       run_trials<BroadcastRun>(trials, seed, [&](int i, Rng& rng) {

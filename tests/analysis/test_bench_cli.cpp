@@ -104,6 +104,8 @@ TEST(BenchCliTest, RejectsMalformedCommands) {
                std::runtime_error);
   EXPECT_THROW(parse_bench_command({"run", "E1", "--trails", "2"}),
                std::runtime_error);  // misspelt flag
+  EXPECT_THROW(parse_bench_command({"run", "E7", "--batch", "4"}),
+               std::runtime_error);  // retired flag
   EXPECT_THROW(parse_bench_command({"run", "notanid"}), std::runtime_error);
   EXPECT_THROW(parse_bench_command({"run", "E1", "--full", "--quick"}),
                std::runtime_error);  // contradictory grids
@@ -115,7 +117,6 @@ TEST(BenchCliTest, ConfigDefaultsWithoutEnvOrFlags) {
   EXPECT_EQ(config.trials, 16);
   EXPECT_EQ(config.seed, 42u);
   EXPECT_TRUE(config.quick);
-  EXPECT_EQ(config.batch, 1);
   EXPECT_EQ(config.graph_backend, GraphBackendChoice::kAuto);
   EXPECT_TRUE(config.csv_path.empty());
 }
@@ -136,30 +137,6 @@ TEST(BenchCliTest, CsvDirBeatsOutDirForCsvPlacement) {
       {"run", "E2", "--csv", "/tmp/csvdir", "--out", "/tmp/outdir"});
   const ExperimentConfig config = config_for_run(command, "E2");
   EXPECT_EQ(config.csv_path, "/tmp/csvdir/e2.csv");
-}
-
-TEST(BenchCliTest, BatchFlagLayersLikeEveryOtherNumericFlag) {
-  const BenchCommand bare = parse_bench_command({"run", "E7"});
-  EXPECT_EQ(config_for_run(bare, "E7").batch, 1);
-
-  const BenchCommand flagged =
-      parse_bench_command({"run", "E7", "--batch", "64"});
-  EXPECT_EQ(config_for_run(flagged, "E7").batch, 64);
-
-  EXPECT_EQ(parse_bench_command({"run", "E7", "--batch=8"}).config.batch, 8);
-}
-
-TEST(BenchCliTest, RejectsMalformedBatchValues) {
-  // Lane widths parse strictly through util/parse: junk, zero, and
-  // out-of-range values are diagnostics naming the flag, never a clamp.
-  for (const char* bad : {"banana", "0", "-8", "4097", "8x", ""}) {
-    try {
-      parse_bench_command({"run", "E7", std::string("--batch=") + bad});
-      FAIL() << "--batch=" << bad << " should be rejected";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("--batch"), std::string::npos);
-    }
-  }
 }
 
 TEST(BenchCliTest, StreamingFlagsLayerLikeEveryOtherNumericFlag) {
@@ -243,7 +220,8 @@ TEST(BenchCliTest, UsageMentionsTheCommands) {
 
 TEST(BenchCliTest, RetiredEnvironmentVariablesExitTwo) {
   // A script that still sets a RADIO_* knob must fail loudly, naming the
-  // flag that replaced it, instead of silently running the defaults.
+  // flag that replaced it (if any), instead of silently running the
+  // defaults.
   const struct {
     const char* variable;
     const char* value;
@@ -253,7 +231,7 @@ TEST(BenchCliTest, RetiredEnvironmentVariablesExitTwo) {
       {"RADIO_SEED", "7", "--seed"},
       {"RADIO_FULL", "", "--full"},
       {"RADIO_CSV_DIR", "results", "--csv"},
-      {"RADIO_BATCH", "16", "--batch"},
+      {"RADIO_BATCH", "16", nullptr},
       {"RADIO_GRAPH_BACKEND", "csr", "--graph-backend"},
       {"RADIO_RATE", "0.05", "--rate"},
       {"RADIO_HORIZON", "500", "--horizon"},
@@ -266,7 +244,10 @@ TEST(BenchCliTest, RetiredEnvironmentVariablesExitTwo) {
     ::unsetenv(r.variable);
     EXPECT_EQ(code, 2) << r.variable;
     EXPECT_NE(diagnostic.find(r.variable), std::string::npos) << diagnostic;
-    EXPECT_NE(diagnostic.find(r.flag), std::string::npos) << diagnostic;
+    if (r.flag != nullptr)
+      EXPECT_NE(diagnostic.find(r.flag), std::string::npos) << diagnostic;
+    else
+      EXPECT_EQ(diagnostic.find("--"), std::string::npos) << diagnostic;
   }
   EXPECT_EQ(run_cli({"list"}), 0);
 }
@@ -289,6 +270,45 @@ TEST(BenchCliTest, UnwritableCsvExitsOne) {
     EXPECT_EQ(code, 1) << flag;
     EXPECT_NE(out.find("[failed to write csv to"), std::string::npos) << out;
     EXPECT_NE(err.find("e15.csv"), std::string::npos) << err;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BenchCliTest, WriteFailingAtFlushExitsOne) {
+  // A full disk fails a write only when the buffered bytes are flushed, so
+  // every artifact must be checked after it is flushed or closed. Each case
+  // points one artifact at /dev/full, which accepts the open and fails the
+  // first write that reaches it.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "radio_bench_disk_full";
+  const std::string dir_arg = dir.string();
+  const struct {
+    const char* artifact;
+    const char* flag;
+  } cases[] = {
+      {"e15.csv", "--csv"},
+      {"e15.manifest.json", "--out"},
+      {"metrics.jsonl", "--out"},
+  };
+  for (const auto& c : cases) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::filesystem::create_symlink("/dev/full", dir / c.artifact);
+    ::testing::internal::CaptureStdout();
+    ::testing::internal::CaptureStderr();
+    const int code = run_cli({"run", "E15", "--quick", "--trials", "2", c.flag,
+                              dir_arg.c_str()});
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(code, 1) << c.artifact;
+    EXPECT_NE(err.find("radio_bench: cannot write " +
+                       (dir / c.artifact).string()),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(out.find("[csv written to " + (dir / c.artifact).string()),
+              std::string::npos)
+        << out;
   }
   std::filesystem::remove_all(dir);
 }

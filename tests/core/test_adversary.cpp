@@ -138,6 +138,41 @@ TEST_F(GuidedSearchFixture, ByteIdenticalAcrossLaneWidths) {
   }
 }
 
+// The Theorem-6 search evaluates one probe per candidate, so a generation
+// is `population` probes: at 3 lanes the scheduler must refill a lane
+// mid-generation, at 64 every probe gets a lane at once.
+TEST_F(GuidedSearchFixture, SmallSetSearchByteIdenticalAcrossLaneWidths) {
+  ASSERT_GE(params_.population, 4);
+  const auto run_small_set = [&](std::uint32_t lanes) {
+    GuidedSearchParams params = params_;
+    params.batch_lanes = lanes;
+    Rng rng(4321);
+    return guided_small_set_search(instance_.graph, source_, params, rng);
+  };
+  const GuidedSearchOutcome lanes1 = run_small_set(1);
+  const GuidedSearchOutcome lanes3 = run_small_set(3);
+  const GuidedSearchOutcome lanes64 = run_small_set(64);
+  for (const GuidedSearchOutcome* other : {&lanes3, &lanes64}) {
+    EXPECT_EQ(lanes1.best_rounds, other->best_rounds);
+    EXPECT_EQ(lanes1.completed_fraction, other->completed_fraction);
+    EXPECT_EQ(lanes1.certificate.witness, other->certificate.witness);
+    EXPECT_EQ(lanes1.certificate.rounds_survived,
+              other->certificate.rounds_survived);
+    EXPECT_EQ(lanes1.certificate.probes, other->certificate.probes);
+    EXPECT_EQ(lanes1.certificate.improvements,
+              other->certificate.improvements);
+    ASSERT_EQ(lanes1.certificate.small_sets.size(),
+              other->certificate.small_sets.size());
+    for (std::size_t t = 0; t < lanes1.certificate.small_sets.size(); ++t) {
+      const SmallRoundSet& a = lanes1.certificate.small_sets[t];
+      const SmallRoundSet& b = other->certificate.small_sets[t];
+      EXPECT_EQ(a.size, b.size) << "round " << t;
+      EXPECT_EQ(a.node[0], b.node[0]) << "round " << t;
+      EXPECT_EQ(a.node[1], b.node[1]) << "round " << t;
+    }
+  }
+}
+
 TEST_F(GuidedSearchFixture, CertificateAccountsForEveryProbe) {
   const GuidedSearchOutcome outcome = run_oblivious(8);
   // seeds (population) + generations × population, ×trials each.

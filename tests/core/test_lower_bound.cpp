@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "analysis/workload.hpp"
+#include "core/adversary.hpp"
 #include "core/lower_bound.hpp"
 #include "sim/runner.hpp"
 
@@ -113,19 +114,23 @@ TEST(ObliviousSearch, NoCandidateCompletesWithinTinyBudget) {
   EXPECT_EQ(outcome.best_candidate, -1);
 }
 
+// Theorem 6's small-set adversary is the guided search of core/adversary.hpp
+// (the schedules E7 runs); these pin the theorem's shape on small instances.
 TEST(SmallSetAdversary, CannotFinishFastOnDenseGraph) {
   Rng rng(8);
   const NodeId n = 256;
   const BroadcastInstance instance =
       make_broadcast_instance(GnpParams{n, 0.5}, rng);
-  SmallSetAdversaryParams params;
-  params.round_budget = 5;  // ~ln n
-  params.num_schedules = 64;
-  const SmallSetAdversaryOutcome outcome =
-      probe_small_set_schedules(instance.graph, 0, params, rng);
-  // Theorem 6: essentially no schedule of <=2-sets completes in c*ln n.
+  GuidedSearchParams params;
+  params.round_budget = 3;  // well under log2 n = 8 rounds of halving
+  params.generations = 8;
+  params.population = 8;
+  const GuidedSearchOutcome outcome =
+      guided_small_set_search(instance.graph, 0, params, rng);
+  // Theorem 6: no schedule of <=2-sets completes in c*ln n, even searched.
   EXPECT_EQ(outcome.completed_fraction, 0.0);
-  EXPECT_GT(outcome.mean_uninformed_left, 0.0);
+  EXPECT_FALSE(outcome.certificate.completed);
+  EXPECT_EQ(outcome.best_rounds, params.round_budget + 1);
 }
 
 TEST(SmallSetAdversary, EventuallyCompletesWithLargeBudget) {
@@ -133,36 +138,39 @@ TEST(SmallSetAdversary, EventuallyCompletesWithLargeBudget) {
   const NodeId n = 64;
   const BroadcastInstance instance =
       make_broadcast_instance(GnpParams{n, 0.5}, rng);
-  SmallSetAdversaryParams params;
+  GuidedSearchParams params;
   params.round_budget = 600;
-  params.num_schedules = 16;
-  const SmallSetAdversaryOutcome outcome =
-      probe_small_set_schedules(instance.graph, 0, params, rng);
+  params.generations = 4;
+  params.population = 4;
+  const GuidedSearchOutcome outcome =
+      guided_small_set_search(instance.graph, 0, params, rng);
   EXPECT_GT(outcome.completed_fraction, 0.5);
-  // ~log2 n scale at least (best-of-K on a tiny n gets lucky by a couple of
-  // rounds, hence the -2 slack).
-  EXPECT_GE(outcome.best_rounds,
-            static_cast<std::uint32_t>(std::log2(static_cast<double>(n))) - 2);
+  EXPECT_TRUE(outcome.certificate.completed);
+  // Each round informs about half of the rest, so even the searched best
+  // stays on the log2 n scale (a lucky round or two shaves a little off).
+  const auto log2_n =
+      static_cast<std::uint32_t>(std::log2(static_cast<double>(n)));
+  EXPECT_GE(outcome.best_rounds, log2_n - 3);
+  EXPECT_LE(outcome.best_rounds, 2 * log2_n);
 }
 
 TEST(SmallSetAdversary, SingletonSetsOnPathTrackDiameter) {
   // On a path with singleton transmissions the best possible is the
-  // diameter; the adversary transmits random informed singletons, so best
-  // over many schedules approaches it.
+  // diameter: one hop per round.
   std::vector<Edge> edges;
   const NodeId n = 8;
   for (NodeId v = 0; v + 1 < n; ++v)
     edges.push_back({v, static_cast<NodeId>(v + 1)});
   const Graph g = Graph::from_edges(n, edges);
   Rng rng(10);
-  SmallSetAdversaryParams params;
+  GuidedSearchParams params;
   params.round_budget = 400;
-  params.num_schedules = 64;
+  params.generations = 4;
+  params.population = 8;
   params.max_set_size = 1;
-  const SmallSetAdversaryOutcome outcome =
-      probe_small_set_schedules(g, 0, params, rng);
+  const GuidedSearchOutcome outcome = guided_small_set_search(g, 0, params, rng);
   EXPECT_GT(outcome.completed_fraction, 0.0);
-  EXPECT_GE(outcome.best_rounds, n - 1);  // cannot beat the diameter
+  EXPECT_EQ(outcome.best_rounds, n - 1);  // reaches, never beats, the diameter
 }
 
 TEST(DiameterBound, MatchesEccentricity) {

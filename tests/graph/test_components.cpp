@@ -1,6 +1,8 @@
 // Connected components and giant-component extraction.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "graph/components.hpp"
 #include "graph/random_graph.hpp"
 
@@ -81,7 +83,7 @@ TEST(Components, GnpAboveThresholdUsuallyConnected) {
   for (int trial = 0; trial < 10; ++trial) {
     Rng rng = Rng::for_stream(99, static_cast<std::uint64_t>(trial));
     const NodeId n = 400;
-    const double p = connectivity_probability(n, 3.0);
+    const double p = 3.0 * std::log(static_cast<double>(n)) / n;
     if (is_connected(generate_gnp({n, p}, rng))) ++connected;
   }
   EXPECT_GE(connected, 9);  // w.h.p. regime

@@ -217,44 +217,6 @@ TEST(PrivateMatching, SucceedsInLemma4Regime) {
   EXPECT_TRUE(is_independent_matching(g, m.pairs));
 }
 
-TEST(GreedyIndependentCover, HandBuiltSuccess) {
-  const Graph g = host();
-  const std::vector<NodeId> cover = greedy_independent_cover(g, kX, kY);
-  ASSERT_FALSE(cover.empty());
-  EXPECT_TRUE(is_independent_covering(g, cover, kY));
-}
-
-TEST(GreedyIndependentCover, ImpossibleCase) {
-  // Y = {1, 2} both adjacent ONLY to 0: any cover gives both one hit from 0…
-  // actually selecting {0} covers both exactly once -> independent cover
-  // exists. Make it impossible: y1 adjacent to {a}, y2 adjacent to {a}, and
-  // y3 adjacent to {a} too but also require y1,y2,y3 distinct hits — still
-  // fine. Impossible case: y1 adjacent to a AND b; y2 adjacent to a; y3
-  // adjacent to b; covering y2 needs a, covering y3 needs b, then y1 hears
-  // both -> no independent cover.
-  const Graph g = Graph::from_edges(5, {{0, 2}, {1, 2}, {0, 3}, {1, 4}});
-  const std::vector<NodeId> x = {0, 1};
-  const std::vector<NodeId> y = {2, 3, 4};
-  EXPECT_TRUE(greedy_independent_cover(g, x, y).empty());
-}
-
-TEST(GreedyIndependentCover, VerifiedOnRandomInstances) {
-  int successes = 0;
-  for (int trial = 0; trial < 10; ++trial) {
-    Rng rng = Rng::for_stream(77, static_cast<std::uint64_t>(trial));
-    const Graph g = generate_gnp({400, 0.08}, rng);
-    std::vector<NodeId> x, y;
-    for (NodeId v = 0; v < 380; ++v) x.push_back(v);
-    for (NodeId v = 380; v < 390; ++v) y.push_back(v);
-    const std::vector<NodeId> cover = greedy_independent_cover(g, x, y);
-    if (!cover.empty()) {
-      EXPECT_TRUE(is_independent_covering(g, cover, y));
-      ++successes;
-    }
-  }
-  EXPECT_GE(successes, 5);  // plenty of private candidates in this regime
-}
-
 TEST(Membership, MakeMembershipAndCounts) {
   const Graph g = host();
   const std::vector<NodeId> members = {0, 2};

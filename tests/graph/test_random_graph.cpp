@@ -162,28 +162,6 @@ TEST(Gnm, Deterministic) {
   EXPECT_EQ(g1.edge_list(), g2.edge_list());
 }
 
-TEST(ConnectedGnp, SucceedsAboveThreshold) {
-  Rng rng(15);
-  const NodeId n = 500;
-  const double p = connectivity_probability(n, 3.0);
-  const auto g = generate_connected_gnp({n, p}, rng);
-  ASSERT_TRUE(g.has_value());
-  EXPECT_TRUE(is_connected(*g));
-}
-
-TEST(ConnectedGnp, FailsFarBelowThreshold) {
-  Rng rng(16);
-  // p = 0 can never be connected for n >= 2.
-  const auto g = generate_connected_gnp({50, 0.0}, rng, 3);
-  EXPECT_FALSE(g.has_value());
-}
-
-TEST(ConnectivityProbability, ScalesAsLogOverN) {
-  const double p = connectivity_probability(1000, 2.0);
-  EXPECT_NEAR(p, 2.0 * std::log(1000.0) / 1000.0, 1e-12);
-  EXPECT_DOUBLE_EQ(connectivity_probability(1), 1.0);
-}
-
 /// Property sweep: across p values, the sparse and dense samplers both
 /// produce simple graphs with edge counts within 6 sigma of np(n-1)/2.
 class GnpSweep : public ::testing::TestWithParam<double> {};

@@ -59,7 +59,7 @@ void run_lockstep(const Graph& g, std::uint32_t lanes, int rounds,
         const double p_tx = informed ? p_informed : 0.04;
         if (schedule_rng[lane].bernoulli(p_tx)) tx[lane].push_back(v);
       }
-      for (NodeId v : tx[lane]) engine.add_transmitter(lane, v);
+      engine.add_transmitters(lane, tx[lane]);
     }
 
     engine.step(active);
@@ -150,7 +150,7 @@ TEST(BatchEquivalence, PathGraphSingletonWavefrontsMatch) {
         if (ref[lane]->informed(v)) tx[lane].push_back(v);
       // Every informed node transmits: on a path interior nodes collide,
       // the two frontier edges deliver.
-      for (NodeId v : tx[lane]) engine.add_transmitter(lane, v);
+      engine.add_transmitters(lane, tx[lane]);
     }
     engine.step(active);
     for (std::uint32_t lane = 0; lane < lanes; ++lane) {

@@ -172,24 +172,5 @@ TEST(SelectionReplay, FloodingAndDecay) {
   EXPECT_GT(replay(decay, decay_reference, 17), 3);
 }
 
-TEST(SelectionReplay, SmallSetSchedule) {
-  SmallSetScheduleProtocol protocol(5);
-  const Reference reference = [](std::uint32_t, const SessionView& view,
-                                 Rng& rng) {
-    std::vector<NodeId> pool = full_scan(view, [](NodeId) { return true; });
-    const auto size = static_cast<NodeId>(
-        1 + rng.uniform_below(std::min<std::uint64_t>(5, pool.size())));
-    std::vector<NodeId> out;
-    for (NodeId k = 0; k < size; ++k) {
-      const std::size_t j =
-          k + static_cast<std::size_t>(rng.uniform_below(pool.size() - k));
-      std::swap(pool[k], pool[j]);
-      out.push_back(pool[k]);
-    }
-    return out;
-  };
-  EXPECT_GT(replay(protocol, reference, 18), 3);
-}
-
 }  // namespace
 }  // namespace radio

@@ -51,8 +51,9 @@ TEST(BatchEngine, SteppingSubsetLeavesOtherLanesUntouched) {
   for (std::uint32_t lane = 0; lane < 4; ++lane) engine.open_lane(lane, 0);
 
   // Step only lanes 1 and 3: their sources transmit and inform node 1.
-  engine.add_transmitter(1, 0);
-  engine.add_transmitter(3, 0);
+  const std::vector<NodeId> source = {0};
+  engine.add_transmitters(1, source);
+  engine.add_transmitters(3, source);
   const std::vector<std::uint32_t> active = {1, 3};
   engine.step(active);
 
@@ -78,7 +79,7 @@ TEST(BatchEngine, ReopenedLaneForgetsPreviousInstance) {
   // Run lane 0 to completion (flood a 4-path from node 0: 0→1, 1→2, 2→3).
   const std::vector<std::uint32_t> only0 = {0};
   for (NodeId hop = 0; hop + 1 < 4; ++hop) {
-    engine.add_transmitter(0, hop);
+    engine.add_transmitters(0, std::vector<NodeId>{hop});
     engine.step(only0);
   }
   ASSERT_TRUE(engine.complete(0));
@@ -98,8 +99,8 @@ TEST(BatchEngine, ReopenedLaneForgetsPreviousInstance) {
   // The fresh instance must behave exactly like a fresh solo session.
   BroadcastSession session(g, 3);
   for (NodeId hop = 3; hop > 0; --hop) {
-    engine.add_transmitter(0, hop);
     const std::vector<NodeId> tx = {hop};
+    engine.add_transmitters(0, tx);
     engine.step(only0);
     const RoundStats& stats = session.step(tx);
     ASSERT_EQ(engine.outcome(0).newly_informed, stats.newly_informed);
@@ -135,7 +136,7 @@ TEST(BatchEngine, CompactShrinksStrideAndPreservesSurvivors) {
       for (NodeId v = 0; v < g.num_nodes(); ++v)
         if (ref[lane]->informed(v) && schedule_rng[lane].bernoulli(0.5))
           tx[lane].push_back(v);
-      for (NodeId v : tx[lane]) engine.add_transmitter(lane, v);
+      engine.add_transmitters(lane, tx[lane]);
     }
     engine.step(active);
     for (std::uint32_t lane = 0; lane < lanes; ++lane) ref[lane]->step(tx[lane]);
@@ -170,7 +171,7 @@ TEST(BatchEngine, CompactShrinksStrideAndPreservesSurvivors) {
       for (NodeId v = 0; v < g.num_nodes(); ++v)
         if (old.informed(v) && schedule_rng[survivors[i]].bernoulli(0.5))
           tx_new[i].push_back(v);
-      for (NodeId v : tx_new[i]) engine.add_transmitter(i, v);
+      engine.add_transmitters(i, tx_new[i]);
     }
     engine.step(active_new);
     for (std::uint32_t i = 0; i < engine.lane_count(); ++i) {

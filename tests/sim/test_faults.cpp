@@ -38,7 +38,7 @@ TEST(FaultPlan, ZeroFractionCrashesNobody) {
 }
 
 TEST(FaultPlan, LossOnlyPlan) {
-  const SessionFaults faults = make_loss_faults(0.25, 77);
+  const SessionFaults faults{.crashed = {}, .loss = 0.25, .seed = 77};
   EXPECT_EQ(faults.crashed.size(), 0u);
   EXPECT_DOUBLE_EQ(faults.loss, 0.25);
   EXPECT_TRUE(faults.any());
@@ -99,7 +99,7 @@ TEST(FaultySession, LossDropsDeliveriesAtConfiguredRate) {
   std::vector<Edge> edges;
   for (NodeId leaf = 1; leaf < n; ++leaf) edges.push_back({0, leaf});
   const Graph g = Graph::from_edges(n, edges);
-  SessionFaults faults = make_loss_faults(0.4, 9);
+  const SessionFaults faults{.crashed = {}, .loss = 0.4, .seed = 9};
   BroadcastSession session(g, 0, faults);
   const RoundStats& stats = session.step(std::vector<NodeId>{0});
   EXPECT_NEAR(static_cast<double>(stats.newly_informed), 300.0, 60.0);
@@ -109,8 +109,7 @@ TEST(FaultySession, LossDropsDeliveriesAtConfiguredRate) {
 
 TEST(FaultySession, LossZeroLosesNothing) {
   const Graph g = path(3);
-  SessionFaults faults = make_loss_faults(0.0, 3);
-  faults.loss = 0.0;
+  const SessionFaults faults{.crashed = {}, .loss = 0.0, .seed = 3};
   BroadcastSession session(g, 0, faults);
   session.step(std::vector<NodeId>{0});
   EXPECT_EQ(session.lost_deliveries(), 0u);
@@ -128,7 +127,7 @@ TEST(FaultySession, LossAccountingBalancesEveryRound) {
   std::vector<Edge> edges;
   for (NodeId leaf = 1; leaf < n; ++leaf) edges.push_back({0, leaf});
   const Graph g = Graph::from_edges(n, edges);
-  SessionFaults faults = make_loss_faults(0.5, 21);
+  const SessionFaults faults{.crashed = {}, .loss = 0.5, .seed = 21};
   BroadcastSession session(g, 0, faults);
 
   std::uint64_t lost_before = 0;
@@ -151,7 +150,7 @@ TEST(FaultySession, LossAccountingBalancesEveryRound) {
 
 TEST(FaultySession, LostDeliveryCanSucceedLater) {
   const Graph g = path(2);
-  SessionFaults faults = make_loss_faults(0.5, 4);
+  const SessionFaults faults{.crashed = {}, .loss = 0.5, .seed = 4};
   BroadcastSession session(g, 0, faults);
   for (int i = 0; i < 64 && !session.complete(); ++i)
     session.step(std::vector<NodeId>{0});
@@ -194,7 +193,9 @@ TEST(FaultPlanDeathTest, InvalidParametersRejected) {
   Rng rng(11);
   EXPECT_DEATH(make_crash_faults(10, 1.0, 0, rng), "precondition");
   EXPECT_DEATH(make_crash_faults(10, 0.5, 10, rng), "precondition");
-  EXPECT_DEATH(make_loss_faults(1.0, 0), "precondition");
+  const Graph g = path(3);
+  const SessionFaults certain_loss{.crashed = {}, .loss = 1.0, .seed = 0};
+  EXPECT_DEATH(BroadcastSession(g, 0, certain_loss), "precondition");
 }
 
 }  // namespace

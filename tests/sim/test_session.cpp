@@ -111,17 +111,6 @@ TEST(LightSessionDeathTest, UninformedTransmitterRejected) {
   EXPECT_DEATH(session.step(tx), "precondition");
 }
 
-TEST(Trace, TableHasOneRowPerRound) {
-  const Graph g = path4();
-  BroadcastSession session(g, 0);
-  session.step(std::vector<NodeId>{0});
-  session.step(std::vector<NodeId>{1});
-  const Table t = trace_table(session);
-  EXPECT_EQ(t.num_rows(), 2u);
-  EXPECT_EQ(t.at(0, 0), "1");
-  EXPECT_EQ(t.at(1, 0), "2");
-}
-
 TEST(Trace, SummaryStates) {
   const Graph g = path4();
   BroadcastSession session(g, 0);

@@ -94,17 +94,6 @@ TEST(Bitset, CollectAppendsToExistingVector) {
   EXPECT_EQ(out[1], 4u);
 }
 
-TEST(Bitset, FindFirstClear) {
-  Bitset b(70);
-  EXPECT_EQ(b.find_first_clear(), 0u);
-  b.set(0);
-  EXPECT_EQ(b.find_first_clear(), 1u);
-  for (std::size_t i = 0; i < 66; ++i) b.set(i);
-  EXPECT_EQ(b.find_first_clear(), 66u);
-  for (std::size_t i = 66; i < 70; ++i) b.set(i);
-  EXPECT_EQ(b.find_first_clear(), 70u);  // == size: none clear
-}
-
 TEST(Bitset, EqualityComparesContents) {
   Bitset a(64), b(64);
   EXPECT_EQ(a, b);
@@ -160,14 +149,6 @@ TEST(WordOps, WordsForBits) {
   EXPECT_EQ(words_for_bits(129), 3u);
 }
 
-TEST(WordOps, OrWords) {
-  std::uint64_t dst[2] = {0b0101, 0};
-  const std::uint64_t src[2] = {0b0011, std::uint64_t{1} << 63};
-  or_words(dst, src, 2);
-  EXPECT_EQ(dst[0], 0b0111u);
-  EXPECT_EQ(dst[1], std::uint64_t{1} << 63);
-}
-
 TEST(WordOps, Andnot) {
   EXPECT_EQ(andnot(0b1100, 0b1010), 0b0100u);
   EXPECT_EQ(andnot(~0ULL, 0), ~0ULL);
@@ -189,12 +170,6 @@ TEST(WordOps, AccumulateHitsSaturatesAtTwo) {
   EXPECT_EQ(andnot(once[0], twice[0]), 0b0100u);  // exactly-once mask
 }
 
-TEST(WordOps, PopcountWords) {
-  const std::uint64_t words[3] = {~0ULL, 0, 0b1011};
-  EXPECT_EQ(popcount_words(words, 3), 64u + 3u);
-  EXPECT_EQ(popcount_words(words, 0), 0u);
-}
-
 TEST(WordOps, ForEachSetBitAscendingWithBase) {
   std::vector<std::size_t> seen;
   for_each_set_bit((std::uint64_t{1} << 63) | 0b1001, 128,
@@ -212,7 +187,6 @@ TEST(Bitset, WordsViewTailBitsStayZero) {
   ASSERT_EQ(w.size(), 2u);
   EXPECT_EQ(w[0], ~0ULL);
   EXPECT_EQ(w[1], (std::uint64_t{1} << 6) - 1);
-  EXPECT_EQ(popcount_words(w.data(), w.size()), 70u);
 }
 
 TEST(Bitset, CountMatchesManualTallyOnPattern) {

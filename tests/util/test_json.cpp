@@ -1,11 +1,10 @@
-// Json value type: writer output, strict parser, and round-trips. The bench
-// manifests and metrics streams depend on exact integer round-trips (64-bit
-// seeds) and insertion-ordered objects (stable diffs).
+// Json writer output. The bench manifests and metrics streams depend on
+// exact integers (64-bit seeds) and insertion-ordered objects (stable
+// diffs); scripts/bench_report.py --check parses what radio_bench writes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
-#include <stdexcept>
 
 #include "util/json.hpp"
 
@@ -26,7 +25,6 @@ TEST(Json, DumpsPrimitives) {
 TEST(Json, DumpsUint64Exactly) {
   const std::uint64_t big = std::numeric_limits<std::uint64_t>::max();
   EXPECT_EQ(Json(big).dump(), "18446744073709551615");
-  EXPECT_EQ(Json::parse("18446744073709551615").as_uint64(), big);
 }
 
 TEST(Json, EscapesStrings) {
@@ -47,10 +45,6 @@ TEST(Json, ObjectsPreserveInsertionOrderAndOverwrite) {
   obj.set("a", 2);
   obj.set("z", 3);  // overwrite keeps position
   EXPECT_EQ(obj.dump(), "{\"z\":3,\"a\":2}");
-  EXPECT_EQ(obj.size(), 2u);
-  EXPECT_EQ(obj.at("z").as_int64(), 3);
-  EXPECT_EQ(obj.find("missing"), nullptr);
-  EXPECT_THROW(obj.at("missing"), std::runtime_error);
 }
 
 TEST(Json, ArraysNest) {
@@ -60,8 +54,6 @@ TEST(Json, ArraysNest) {
   inner.set("k", "v");
   arr.push_back(std::move(inner));
   EXPECT_EQ(arr.dump(), "[1,{\"k\":\"v\"}]");
-  EXPECT_EQ(arr.size(), 2u);
-  EXPECT_EQ(arr.at(1).at("k").as_string(), "v");
 }
 
 TEST(Json, PrettyPrint) {
@@ -74,119 +66,12 @@ TEST(Json, PrettyPrint) {
   EXPECT_EQ(Json::object().dump(2), "{}");
 }
 
-TEST(Json, ParsesDocument) {
-  const Json doc = Json::parse(
-      R"({"id": "E1", "ok": true, "n": [1, -2, 3.5], "nested": {"x": null}})");
-  EXPECT_EQ(doc.at("id").as_string(), "E1");
-  EXPECT_TRUE(doc.at("ok").as_bool());
-  EXPECT_EQ(doc.at("n").at(0).as_int64(), 1);
-  EXPECT_EQ(doc.at("n").at(1).as_int64(), -2);
-  EXPECT_DOUBLE_EQ(doc.at("n").at(2).as_double(), 3.5);
-  EXPECT_TRUE(doc.at("nested").at("x").is_null());
-}
-
-TEST(Json, ParsesEscapesAndUnicode) {
-  EXPECT_EQ(Json::parse(R"("a\nb\t\"c\"")").as_string(), "a\nb\t\"c\"");
-  EXPECT_EQ(Json::parse(R"("\u0041")").as_string(), "A");
-  EXPECT_EQ(Json::parse(R"("\u00e9")").as_string(), "\xc3\xa9");        // é
-  EXPECT_EQ(Json::parse(R"("\ud83d\ude00")").as_string(),
-            "\xf0\x9f\x98\x80");  // 😀 via surrogate pair
-}
-
-TEST(Json, RejectsMalformedInput) {
-  EXPECT_THROW(Json::parse(""), std::runtime_error);
-  EXPECT_THROW(Json::parse("{"), std::runtime_error);
-  EXPECT_THROW(Json::parse("[1,]"), std::runtime_error);
-  EXPECT_THROW(Json::parse("{\"a\" 1}"), std::runtime_error);
-  EXPECT_THROW(Json::parse("tru"), std::runtime_error);
-  EXPECT_THROW(Json::parse("1 2"), std::runtime_error);  // trailing garbage
-  EXPECT_THROW(Json::parse("\"unterminated"), std::runtime_error);
-  EXPECT_THROW(Json::parse("\"bad \\q escape\""), std::runtime_error);
-  EXPECT_THROW(Json::parse("-"), std::runtime_error);
-}
-
-TEST(Json, RoundTripsThroughDumpAndParse) {
-  Json obj = Json::object();
-  obj.set("seed", std::uint64_t{12345678901234567890ull});
-  obj.set("r2", 0.9471);
-  obj.set("note", "fit: rounds ~= a*ln n + b\nline2");
-  Json rows = Json::array();
-  rows.push_back(-1);
-  rows.push_back(true);
-  obj.set("rows", std::move(rows));
-
-  for (const int indent : {-1, 2}) {
-    const Json reparsed = Json::parse(obj.dump(indent));
-    EXPECT_EQ(reparsed.at("seed").as_uint64(), 12345678901234567890ull);
-    EXPECT_DOUBLE_EQ(reparsed.at("r2").as_double(), 0.9471);
-    EXPECT_EQ(reparsed.at("note").as_string(), "fit: rounds ~= a*ln n + b\nline2");
-    EXPECT_EQ(reparsed.at("rows").at(0).as_int64(), -1);
-    EXPECT_TRUE(reparsed.at("rows").at(1).as_bool());
-    // Dump of the reparse is byte-identical: numbers survive exactly.
-    EXPECT_EQ(reparsed.dump(indent), obj.dump(indent));
-  }
-}
-
-TEST(Json, RejectsDuplicateKeysWithOffset) {
-  try {
-    Json::parse(R"({"dup": 1, "dup": 2})");
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("duplicate key 'dup'"),
-              std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("byte"), std::string::npos);
-  }
-}
-
-TEST(Json, RejectsPathologicalNesting) {
-  // 500 unclosed arrays: the depth limit rejects long before the recursion
-  // can chew through the stack.
-  const std::string deep(500, '[');
-  try {
-    Json::parse(deep);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("128"), std::string::npos);
-  }
-  // 100 levels (within the limit) still parse.
-  std::string ok(100, '[');
-  ok += "1";
-  ok.append(100, ']');
-  EXPECT_NO_THROW(Json::parse(ok));
-}
-
-TEST(Json, RejectsNonFiniteAndOverflowingNumbers) {
-  EXPECT_THROW(Json::parse("1e999"), std::runtime_error);
-  EXPECT_THROW(Json::parse("-1e999"), std::runtime_error);
-  EXPECT_THROW(Json::parse("nan"), std::runtime_error);   // invalid literal
-  EXPECT_THROW(Json::parse("inf"), std::runtime_error);
-  // Integers past uint64 fall through to double (documented widening).
-  EXPECT_DOUBLE_EQ(Json::parse("18446744073709551616").as_double(), 1.8446744073709552e19);
-}
-
-TEST(Json, RejectsTruncatedDocumentsWithByteOffsets) {
-  for (const char* bad :
-       {"{\"a\": ", "[1, 2", "\"unterminated", "{\"a\"", "tru"}) {
-    try {
-      Json::parse(bad);
-      FAIL() << "'" << bad << "' should be rejected";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("json parse error at byte"),
-                std::string::npos)
-          << bad;
-    }
-  }
-}
-
-TEST(Json, TypeMismatchesThrow) {
-  EXPECT_THROW(Json(1).as_string(), std::runtime_error);
-  EXPECT_THROW(Json("x").as_double(), std::runtime_error);
-  EXPECT_THROW(Json(true).at(0u), std::runtime_error);
-  EXPECT_THROW(Json(std::int64_t{-1}).as_uint64(), std::runtime_error);
+TEST(JsonDeathTest, ContainerMismatchesAbort) {
   Json arr = Json::array();
   arr.push_back(1);
-  EXPECT_THROW(arr.at(5u), std::runtime_error);
-  EXPECT_THROW(arr.set("k", 1), std::runtime_error);
+  EXPECT_DEATH(arr.set("k", 1), "precondition");
+  EXPECT_DEATH(Json(1).push_back(2), "precondition");
+  EXPECT_DEATH(Json::object().push_back(2), "precondition");
 }
 
 }  // namespace

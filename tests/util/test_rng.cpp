@@ -143,20 +143,6 @@ TEST(Xoshiro, UniformBelowIsApproximatelyUniform) {
   }
 }
 
-TEST(Xoshiro, UniformInCoversInclusiveRange) {
-  Rng rng(8);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 10000; ++i) {
-    const std::uint64_t v = rng.uniform_in(3, 5);
-    EXPECT_GE(v, 3u);
-    EXPECT_LE(v, 5u);
-    saw_lo |= v == 3;
-    saw_hi |= v == 5;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(Xoshiro, BernoulliEdgeCases) {
   Rng rng(9);
   for (int i = 0; i < 100; ++i) {
