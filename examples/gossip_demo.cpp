@@ -1,6 +1,7 @@
 // Gossip demo: all-to-all rumor exchange on a random radio network — the
 // extension subsystem (every node starts with its own rumor; completion
-// means everyone knows everything).
+// means everyone knows everything). The schedulers are the broadcast
+// protocols, run on a session in which every node is informed.
 //
 //   ./gossip_demo [--n=512] [--d=40] [--seed=13]
 #include <cmath>
@@ -8,7 +9,10 @@
 #include <exception>
 
 #include "analysis/workload.hpp"
-#include "gossip/gossip_protocols.hpp"
+#include "gossip/gossip_session.hpp"
+#include "protocols/decay.hpp"
+#include "protocols/round_robin.hpp"
+#include "protocols/uniform_gossip.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/stream_tags.hpp"
@@ -30,7 +34,7 @@ int main(int argc, char** argv) try {
 
   radio::Table table(
       {"protocol", "rounds", "transmissions", "coverage", "completed"});
-  auto contend = [&](radio::GossipProtocol& protocol, std::uint32_t budget) {
+  auto contend = [&](radio::Protocol& protocol, std::uint32_t budget) {
     radio::GossipSession session(instance.graph);
     radio::Rng run_rng = radio::Rng::for_stream(seed, radio::stream_tags::kExampleGossipRunStream);
     const radio::GossipRun run = radio::run_gossip(
@@ -43,9 +47,9 @@ int main(int argc, char** argv) try {
         .cell(run.completed ? "yes" : "no");
   };
 
-  radio::UniformGossipAllToAll uniform;
-  radio::RoundRobinGossip round_robin;
-  radio::DecayGossip decay;
+  radio::UniformGossipProtocol uniform;
+  radio::RoundRobinProtocol round_robin;
+  radio::DecayProtocol decay;
   contend(uniform, static_cast<std::uint32_t>(400.0 * ln_n));
   contend(round_robin, n * 16);
   contend(decay, static_cast<std::uint32_t>(1500.0 * ln_n));

@@ -145,8 +145,6 @@ KERNEL_FILES = (
     "src/sim/batch/batch_scheduler.hpp",
     "src/sim/stream/message_queue.hpp",
     "src/sim/stream/stream_session.hpp",
-    "src/sim/stream/streaming_protocol.cpp",
-    "src/sim/stream/streaming_protocol.hpp",
     "src/gossip/gossip_session.cpp",
     "src/gossip/gossip_session.hpp",
     "src/graph/bfs.cpp",

@@ -40,7 +40,7 @@ ExperimentResult run_e7_lower_bounds(const ExperimentConfig& config);
 /// E8 — §3.1 dense regime p = 1 − f(n): rounds vs ln n / ln(1/f).
 ExperimentResult run_e8_dense_regime(const ExperimentConfig& config);
 
-/// E9 — ablations of Theorem 5's design choices (DESIGN.md §7).
+/// E9 — ablations of Theorem 5's design choices (DESIGN.md §10).
 ExperimentResult run_e9_phase_ablation(const ExperimentConfig& config);
 
 /// E10 — Gilbert vs Erdős–Rényi model equivalence (§1.1's "results also

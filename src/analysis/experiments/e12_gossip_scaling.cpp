@@ -7,7 +7,8 @@
 // heard, a ~1/(e·d) event per round, and the maximum over n independent
 // geometric waits is ~e·d·ln n. Contrast with broadcast, where the single
 // message has Θ(n) carriers as soon as it spreads. Round-robin needs Θ(n·D)
-// deterministic rounds; decay pays its phase overhead on top.
+// deterministic rounds; decay pays its phase overhead on top. All three are
+// the broadcast protocols, run on GossipSession's everyone-informed view.
 #include <cmath>
 #include <string>
 #include <vector>
@@ -16,7 +17,10 @@
 #include "analysis/experiments.hpp"
 #include "analysis/trial_runner.hpp"
 #include "analysis/workload.hpp"
-#include "gossip/gossip_protocols.hpp"
+#include "gossip/gossip_session.hpp"
+#include "protocols/decay.hpp"
+#include "protocols/round_robin.hpp"
+#include "protocols/uniform_gossip.hpp"
 #include "util/fit.hpp"
 #include "util/stats.hpp"
 #include "util/stream_tags.hpp"
@@ -62,17 +66,13 @@ ExperimentResult run_e12_gossip_scaling(const ExperimentConfig& config) {
             const BroadcastInstance instance =
                 make_broadcast_instance(params, rng);
             GossipSession session(instance.graph);
-            UniformGossipAllToAll uniform;
-            RoundRobinGossip round_robin;
-            DecayGossip decay;
-            GossipProtocol* protocol =
-                entry.kind == 0
-                    ? static_cast<GossipProtocol*>(&uniform)
-                    : entry.kind == 1
-                          ? static_cast<GossipProtocol*>(&round_robin)
-                          : static_cast<GossipProtocol*>(&decay);
-            const GossipRun run = run_gossip(*protocol, context_for(instance),
-                                             session, rng, entry.budget);
+            UniformGossipProtocol uniform;
+            RoundRobinProtocol round_robin;
+            DecayProtocol decay;
+            Protocol* const protocols[] = {&uniform, &round_robin, &decay};
+            const GossipRun run =
+                run_gossip(*protocols[entry.kind], context_for(instance),
+                           session, rng, entry.budget);
             return Trial{static_cast<double>(run.rounds), run.coverage,
                          run.completed};
           });

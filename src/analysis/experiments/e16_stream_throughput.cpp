@@ -21,14 +21,13 @@
 #include "analysis/stream_workload.hpp"
 #include "analysis/throughput.hpp"
 #include "analysis/trial_runner.hpp"
-#include "protocols/streaming_adapters.hpp"
+#include "protocols/decay.hpp"
+#include "protocols/flooding.hpp"
 #include "util/fit.hpp"
 #include "util/stats.hpp"
 
 namespace radio {
 namespace {
-
-constexpr std::uint32_t kPipelineDepth = 2;
 
 /// λ grid as fractions of the GHK reference bound, ascending. The top point
 /// sits AT the bound: decay's capacity is a log factor below it, so the
@@ -79,10 +78,9 @@ ExperimentResult run_e16_stream_throughput(const ExperimentConfig& config) {
             config.trials, cell_seed, [&](int t, Rng& rng) {
               return run_stream_trial(
                   params, config.graph_backend,
-                  [&] {
-                    return entry.decay ? make_pipelined_decay(kPipelineDepth)
-                                       : make_pipelined_flooding(
-                                             kPipelineDepth);
+                  [&](int) -> std::unique_ptr<Protocol> {
+                    if (entry.decay) return std::make_unique<DecayProtocol>();
+                    return std::make_unique<FloodingProtocol>();
                   },
                   rate, horizon, cell_seed, static_cast<std::uint64_t>(t),
                   rng);

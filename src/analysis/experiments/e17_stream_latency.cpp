@@ -11,6 +11,7 @@
 // MessageQueue ledger.
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,13 +20,11 @@
 #include "analysis/stream_workload.hpp"
 #include "analysis/throughput.hpp"
 #include "analysis/trial_runner.hpp"
-#include "protocols/streaming_adapters.hpp"
+#include "protocols/decay.hpp"
 #include "util/stats.hpp"
 
 namespace radio {
 namespace {
-
-constexpr std::uint32_t kPipelineDepth = 2;
 
 /// λ as fractions of the GHK bound — all at or below decay's knee
 /// neighbourhood so most trials stay stable and latencies are well defined.
@@ -64,7 +63,7 @@ ExperimentResult run_e17_stream_latency(const ExperimentConfig& config) {
           config.trials, cell_seed, [&](int t, Rng& rng) {
             return run_stream_trial(
                 params, config.graph_backend,
-                [] { return make_pipelined_decay(kPipelineDepth); }, rate,
+                [](int) { return std::make_unique<DecayProtocol>(); }, rate,
                 horizon, cell_seed, static_cast<std::uint64_t>(t), rng);
           });
 

@@ -16,6 +16,7 @@
 // message accounting is exact.
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,14 +25,12 @@
 #include "analysis/throughput.hpp"
 #include "analysis/trial_runner.hpp"
 #include "graph/implicit_gnp.hpp"
-#include "protocols/streaming_adapters.hpp"
+#include "protocols/decay.hpp"
 #include "sim/stream/stream_session.hpp"
 #include "util/stats.hpp"
 
 namespace radio {
 namespace {
-
-constexpr std::uint32_t kPipelineDepth = 2;
 
 /// λ fractions of the GHK bound, ascending: the top point sits above
 /// decay's giant-n capacity so the sweep shows both regimes.
@@ -86,9 +85,10 @@ ExperimentResult run_e18_stream_giant(const ExperimentConfig& config) {
           stream_config.seed = cell_seed;
           stream_config.stream = static_cast<std::uint64_t>(t);
           stream_config.trajectory_samples = 4;
-          const auto protocol = make_pipelined_decay(kPipelineDepth);
-          StreamSession session(g, ProtocolContext{n, p}, *protocol,
-                                stream_config);
+          StreamSession session(
+              g, ProtocolContext{n, p},
+              [](int) { return std::make_unique<DecayProtocol>(); },
+              stream_config);
           return session.run();
         });
     std::vector<double> throughputs, growths;

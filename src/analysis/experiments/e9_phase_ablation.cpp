@@ -1,4 +1,4 @@
-// E9 — ablation of Theorem 5's design choices (DESIGN.md §7).
+// E9 — ablation of Theorem 5's design choices (DESIGN.md §10).
 //
 // Each row mutates one ingredient of the centralized builder and reports
 // rounds + phase breakdown on the same workload:

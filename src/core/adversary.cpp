@@ -36,6 +36,12 @@ void FixedSmallSetScheduleProtocol::select_transmitters(
 
 namespace {
 
+/// Per-round chance that a gene mutates (both policies).
+constexpr double kMutationRate = 0.25;
+
+/// Log-probability step of an oblivious gene's local move.
+constexpr double kMutationScale = 1.5;
+
 /// Lexicographic candidate fitness, lower is better. `worst_rounds` is the
 /// worst trial's completion time with round_budget + 1 standing in for
 /// "never completed", and `uninformed` (total nodes left uninformed across
@@ -258,11 +264,11 @@ class ObliviousPolicy {
   Genotype mutate(const Genotype& parent, Rng& rng) const {
     Genotype child = parent;
     for (double& p : child) {
-      if (!rng.bernoulli(params_.mutation_rate)) continue;
+      if (!rng.bernoulli(kMutationRate)) continue;
       if (rng.bernoulli(0.2)) {
         p = random_gene(rng);  // fresh log-uniform draw: escapes local optima
       } else {
-        const double step = params_.mutation_scale * (2.0 * rng.uniform() - 1.0);
+        const double step = kMutationScale * (2.0 * rng.uniform() - 1.0);
         p = std::exp(std::min(0.0, std::max(log_lo_, std::log(p) + step)));
       }
     }
@@ -316,7 +322,7 @@ class SmallSetPolicy {
   Genotype mutate(const Genotype& parent, Rng& rng) const {
     SmallSetSchedule child = *parent;
     for (SmallRoundSet& set : child)
-      if (rng.bernoulli(params_.mutation_rate)) set = random_set(rng);
+      if (rng.bernoulli(kMutationRate)) set = random_set(rng);
     return std::make_shared<const SmallSetSchedule>(std::move(child));
   }
 

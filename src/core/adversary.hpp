@@ -85,8 +85,6 @@ struct GuidedSearchParams {
   /// candidate must complete on every trial to count as completing. Ignored
   /// by the small-set search (fixed schedules are deterministic: 1 probe).
   int trials_per_candidate = 2;
-  double mutation_rate = 0.25;   ///< per-round chance a gene mutates
-  double mutation_scale = 1.5;   ///< log-probability step (oblivious genes)
   NodeId max_set_size = 2;       ///< small-set genes: 1- or 2-sets
   /// Lane width for the batched core: a generation's λ×trials probes run as
   /// lanes of ONE run_broadcast_batch call on the shared graph. Results are

@@ -64,14 +64,6 @@ struct CentralizedOptions {
   /// Per-node sampling rate in phase 2 is `selective_rate_scale / d`.
   double selective_rate_scale = 1.0;
 
-  /// Phase-2 rounds that inform nobody are retried with a fresh sample up to
-  /// this many times before being emitted anyway (the schedule must make
-  /// progress deterministically once built, so retries happen at build time).
-  int resample_attempts = 8;
-
-  /// Hard cap on mop-up sweeps before the builder reports failure.
-  int max_mopup_sweeps = 64;
-
   /// Mop-up strategy: prefer a one-shot private-neighbor matching; fall back
   /// to sampled independent covers when the matching is incomplete.
   bool use_private_matching = true;
@@ -106,6 +98,14 @@ struct CentralizedResult {
 };
 
 namespace centralized_detail {
+
+/// Draws per phase-2 round (and per phase-3 sampled cover): the best of this
+/// many samples is emitted, so unproductive draws are retried at build time
+/// (the schedule must make progress deterministically once built).
+inline constexpr int kResampleAttempts = 8;
+
+/// Hard cap on mop-up sweeps before the builder reports failure.
+inline constexpr int kMaxMopupSweeps = 64;
 
 inline std::vector<NodeId> sample_subset(std::span<const NodeId> candidates,
                                          double rate, Rng& rng) {
@@ -234,7 +234,7 @@ CentralizedResult build_centralized_schedule(
       // so unproductive draws are discarded here rather than replayed later.
       std::vector<NodeId> best;
       std::size_t best_gain = 0;
-      for (int attempt = 0; attempt < std::max(1, options.resample_attempts);
+      for (int attempt = 0; attempt < centralized_detail::kResampleAttempts;
            ++attempt) {
         std::vector<NodeId> sample =
             centralized_detail::sample_subset(candidates, rate, rng);
@@ -260,7 +260,7 @@ CentralizedResult build_centralized_schedule(
 
   // ---------------------------------------------------------------- Phase 3
   const double mopup_rate = std::min(1.0, 1.0 / d);
-  for (int sweep = 0; sweep < options.max_mopup_sweeps; ++sweep) {
+  for (int sweep = 0; sweep < centralized_detail::kMaxMopupSweeps; ++sweep) {
     if (session.complete()) break;
     const std::vector<NodeId> y = session.uninformed_nodes();
     const std::vector<NodeId> x = session.informed_nodes();
@@ -283,7 +283,7 @@ CentralizedResult build_centralized_schedule(
     // Fallback: best sampled independent cover out of a few draws
     // (Lemma 4's probabilistic construction, derandomized by selection).
     SampledCover best;
-    for (int attempt = 0; attempt < std::max(1, options.resample_attempts);
+    for (int attempt = 0; attempt < centralized_detail::kResampleAttempts;
          ++attempt) {
       SampledCover cover = sample_independent_cover(g, x, y, mopup_rate, rng);
       if (cover.covered.size() > best.covered.size() ||

@@ -10,12 +10,15 @@ GossipSession::GossipSession(const Graph& g)
     : graph_(&g),
       counts_(g.num_nodes(), 1),
       total_(g.num_nodes()),
+      everyone_(g.num_nodes()),
+      informed_round_(g.num_nodes(), 0),
       fold_(g.num_nodes()),
       writers_(g.num_nodes(), kInvalidNode) {
   knowledge_.reserve(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     knowledge_.emplace_back(g.num_nodes());
     knowledge_.back().set(v);  // own rumor
+    everyone_.set(v);
   }
 }
 
@@ -25,10 +28,9 @@ double GossipSession::coverage() const noexcept {
   return static_cast<double>(total_) / (n * n);
 }
 
-const GossipRoundStats& GossipSession::step(
-    std::span<const NodeId> transmitters) {
+GossipRoundStats GossipSession::step(std::span<const NodeId> transmitters) {
   GossipRoundStats stats;
-  stats.round = static_cast<std::uint32_t>(history_.size() + 1);
+  stats.round = ++round_;
   stats.transmitters = static_cast<std::uint32_t>(transmitters.size());
 
   // Senders are transmitters and transmitters never receive, so knowledge
@@ -51,8 +53,27 @@ const GossipRoundStats& GossipSession::step(
   fold_.clear_transmitters(transmitters);
 
   stats.knowledge_total = total_;
-  history_.push_back(stats);
-  return history_.back();
+  return stats;
+}
+
+GossipRun run_gossip(Protocol& protocol, const ProtocolContext& ctx,
+                     GossipSession& session, Rng& rng,
+                     std::uint32_t max_rounds) {
+  RADIO_EXPECTS(max_rounds > 0);
+  RADIO_EXPECTS(!protocol.wants_observations());
+  protocol.reset(ctx);
+  GossipRun run;
+  std::vector<NodeId> transmitters;
+  for (std::uint32_t round = 1; round <= max_rounds; ++round) {
+    if (session.complete()) break;
+    transmitters.clear();
+    protocol.select_transmitters(round, session.view(), rng, transmitters);
+    run.transmissions += session.step(transmitters).transmitters;
+    ++run.rounds;
+  }
+  run.completed = session.complete();
+  run.coverage = session.coverage();
+  return run;
 }
 
 }  // namespace radio

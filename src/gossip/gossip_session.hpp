@@ -8,6 +8,14 @@
 // current rumor set (radio packets are size-unbounded in this model, as in
 // the broadcast case where the single message also rides one transmission).
 // Gossip completes when every node knows all n rumors.
+//
+// Gossip schedulers are ordinary broadcast Protocols (sim/protocol.hpp):
+// view() shows every node informed at round 0, since each holds its own
+// rumor, so a broadcast rule there decides only how nodes share the
+// channel. E12 runs three: UniformGossipProtocol (every node transmits with
+// probability 1/d each round), RoundRobinProtocol (node (t-1) mod n alone,
+// collision-free, Θ(n·D) rounds) and DecayProtocol (BGI phases in which
+// everyone starts active and halves its persistence).
 #pragma once
 
 #include <cstdint>
@@ -16,7 +24,10 @@
 
 #include "graph/graph.hpp"
 #include "sim/channel_kernel.hpp"
+#include "sim/protocol.hpp"
+#include "sim/session_view.hpp"
 #include "util/bitset.hpp"
+#include "util/rng.hpp"
 
 namespace radio {
 
@@ -55,27 +66,43 @@ class GossipSession {
   /// Fraction of all (node, rumor) pairs delivered, in [1/n, 1].
   double coverage() const noexcept;
 
-  std::uint32_t current_round() const noexcept {
-    return static_cast<std::uint32_t>(history_.size());
+  std::uint32_t current_round() const noexcept { return round_; }
+
+  /// The knowledge surface a Protocol selects from: every node informed at
+  /// round 0.
+  SessionView view() const noexcept {
+    return SessionView(*graph_, everyone_, informed_round_,
+                       graph_->num_nodes());
   }
 
   /// Executes one round. Transmitter ids must be distinct.
-  const GossipRoundStats& step(std::span<const NodeId> transmitters);
-
-  const std::vector<GossipRoundStats>& history() const noexcept {
-    return history_;
-  }
+  GossipRoundStats step(std::span<const NodeId> transmitters);
 
  private:
   const Graph* graph_;
   std::vector<Bitset> knowledge_;     ///< per node: rumor set
   std::vector<std::size_t> counts_;   ///< per node: |rumor set|
   std::uint64_t total_ = 0;
-  std::vector<GossipRoundStats> history_;
+  std::uint32_t round_ = 0;
+  Bitset everyone_;                             ///< view(): all set
+  std::vector<std::uint32_t> informed_round_;   ///< view(): all 0
   // The shared round fold (sim/channel_kernel.hpp); its cost model picks
   // the list or bitmap-row fold per round, and both are exact.
   RoundFold fold_;
   std::vector<NodeId> writers_;  ///< fold_lists' last writer per node
 };
+
+struct GossipRun {
+  bool completed = false;
+  std::uint32_t rounds = 0;
+  std::uint64_t transmissions = 0;
+  double coverage = 0.0;  ///< fraction of (node, rumor) pairs delivered
+};
+
+/// Runs `protocol` on `session.view()` until all-to-all completion or the
+/// budget. The protocol must not want channel observations.
+GossipRun run_gossip(Protocol& protocol, const ProtocolContext& ctx,
+                     GossipSession& session, Rng& rng,
+                     std::uint32_t max_rounds);
 
 }  // namespace radio

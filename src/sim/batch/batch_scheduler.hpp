@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -27,19 +26,14 @@
 
 namespace radio {
 
-/// Builds the protocol instance for one trial. Called once per trial, from
-/// the thread running that trial's scheduler; the factory must be safe to
-/// invoke concurrently from parallel schedulers.
-using ProtocolFactory = std::function<std::unique_ptr<Protocol>(int trial)>;
-
 class BatchScheduler {
  public:
   /// `lanes` >= 1; a scheduler is reusable across run() calls.
   BatchScheduler(const Graph& g, const ProtocolContext& ctx,
                  std::uint32_t lanes, std::uint32_t max_rounds);
 
-  /// Runs trials [0, trials) from `source`, trial t drawing from
-  /// Rng::for_stream(seed, first_stream + t), and returns their
+  /// Runs trials [0, trials) from `source`, trial t running factory(t) and
+  /// drawing from Rng::for_stream(seed, first_stream + t), and returns their
   /// BroadcastRuns in trial order.
   std::vector<BroadcastRun> run(std::uint64_t seed, std::uint64_t first_stream,
                                 int trials, NodeId source,

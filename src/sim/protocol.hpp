@@ -9,6 +9,8 @@
 // centralized and say so via `is_distributed()`.
 #pragma once
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,7 +44,9 @@ class Protocol {
   /// Appends this round's transmitters to `out` (cleared by the caller).
   /// `round` is 1-based and equals session.current_round() + 1. The view is
   /// the per-node knowledge surface; BroadcastSession converts implicitly,
-  /// and the batch core (sim/batch) builds one per lane per round.
+  /// the batch core (sim/batch) builds one per lane per round, a stream
+  /// slot (sim/stream) passes its current message's view, and a gossip
+  /// session's view shows every node informed.
   virtual void select_transmitters(std::uint32_t round,
                                    const SessionView& session, Rng& rng,
                                    std::vector<NodeId>& out) = 0;
@@ -54,5 +58,11 @@ class Protocol {
   virtual void observe(std::uint32_t /*round*/,
                        std::span<const ChannelObservation> /*observations*/) {}
 };
+
+/// Builds one protocol instance. The argument is the caller's unit index:
+/// the trial for the batch scheduler (sim/batch), the pipeline slot for the
+/// stream session (sim/stream). Parallel trials may call one factory from
+/// several threads at once, so it must be safe to call concurrently.
+using ProtocolFactory = std::function<std::unique_ptr<Protocol>(int unit)>;
 
 }  // namespace radio

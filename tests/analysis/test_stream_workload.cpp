@@ -9,7 +9,7 @@
 
 #include "analysis/stream_workload.hpp"
 #include "graph/implicit_gnp.hpp"
-#include "protocols/streaming_adapters.hpp"
+#include "protocols/decay.hpp"
 
 namespace radio {
 namespace {
@@ -17,9 +17,9 @@ namespace {
 template <GraphBackend G>
 StreamMetrics run_pipelined_decay(const G& g, double p,
                                   const StreamConfig& config) {
-  const auto protocol = make_pipelined_decay(2);
-  StreamSession session(g, ProtocolContext{g.num_nodes(), p}, *protocol,
-                        config);
+  StreamSession session(
+      g, ProtocolContext{g.num_nodes(), p},
+      [](int) { return std::make_unique<DecayProtocol>(); }, config);
   return session.run();
 }
 
@@ -86,7 +86,8 @@ TEST(StreamWorkload, TrialIsDeterministicInSeedAndStream) {
     Rng rng = Rng::for_stream(7, stream);
     return run_stream_trial(
         params, GraphBackendChoice::kAuto,
-        [] { return make_pipelined_decay(2); }, 0.02, 800, 7, stream, rng);
+        [](int) { return std::make_unique<DecayProtocol>(); }, 0.02, 800, 7,
+        stream, rng);
   };
   const StreamMetrics a = run_once(0);
   const StreamMetrics b = run_once(0);

@@ -1,10 +1,14 @@
-// Radio gossiping: session semantics, knowledge merging, protocols.
+// Radio gossiping: session semantics, knowledge merging, and the broadcast
+// protocols run as gossip schedulers on the session's everyone-informed view.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "analysis/workload.hpp"
-#include "gossip/gossip_protocols.hpp"
+#include "gossip/gossip_session.hpp"
+#include "protocols/decay.hpp"
+#include "protocols/round_robin.hpp"
+#include "protocols/uniform_gossip.hpp"
 
 namespace radio {
 namespace {
@@ -90,22 +94,29 @@ TEST(GossipSession, StatsTrackTotals) {
   EXPECT_EQ(session.current_round(), 1u);
 }
 
-TEST(GossipProtocols, UniformDefaultsToOneOverD) {
-  UniformGossipAllToAll protocol;
-  protocol.reset(ProtocolContext{1000, 0.04});  // d = 40
-  EXPECT_NEAR(protocol.probability(), 0.025, 1e-12);
+TEST(GossipSession, ViewReportsEveryNodeInformedAtRoundZero) {
+  const Graph g = path(5);
+  GossipSession session(g);
+  const SessionView view = session.view();
+  EXPECT_EQ(view.num_nodes(), 5u);
+  EXPECT_EQ(view.informed_count(), 5u);
+  EXPECT_EQ(&view.graph(), &g);
+  for (NodeId v = 0; v < 5; ++v) {
+    EXPECT_TRUE(view.informed(v));
+    EXPECT_EQ(view.informed_round(v), 0u);
+  }
 }
 
 TEST(GossipProtocols, RoundRobinPicksSingleNode) {
   const Graph g = path(5);
   GossipSession session(g);
-  RoundRobinGossip protocol;
+  RoundRobinProtocol protocol;
   protocol.reset(ProtocolContext{5, 0.5});
   Rng rng(1);
   std::vector<NodeId> out;
   for (std::uint32_t round = 1; round <= 7; ++round) {
     out.clear();
-    protocol.select_transmitters(round, session, rng, out);
+    protocol.select_transmitters(round, session.view(), rng, out);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0], (round - 1) % 5);
   }
@@ -114,7 +125,7 @@ TEST(GossipProtocols, RoundRobinPicksSingleNode) {
 TEST(GossipProtocols, RoundRobinCompletesOnPath) {
   const Graph g = path(5);
   GossipSession session(g);
-  RoundRobinGossip protocol;
+  RoundRobinProtocol protocol;
   Rng rng(2);
   const GossipRun run =
       run_gossip(protocol, ProtocolContext{5, 0.4}, session, rng, 200);
@@ -129,7 +140,7 @@ TEST(GossipProtocols, UniformCompletesOnGnp) {
   const BroadcastInstance instance =
       make_broadcast_instance(GnpParams::with_degree(n, ln_n * ln_n), rng);
   GossipSession session(instance.graph);
-  UniformGossipAllToAll protocol;
+  UniformGossipProtocol protocol;
   const GossipRun run =
       run_gossip(protocol, context_for(instance), session, rng,
                  static_cast<std::uint32_t>(400.0 * ln_n));
@@ -143,7 +154,7 @@ TEST(GossipProtocols, DecayCompletesOnGnp) {
   const BroadcastInstance instance =
       make_broadcast_instance(GnpParams::with_degree(n, ln_n * ln_n), rng);
   GossipSession session(instance.graph);
-  DecayGossip protocol;
+  DecayProtocol protocol;
   const GossipRun run =
       run_gossip(protocol, context_for(instance), session, rng,
                  static_cast<std::uint32_t>(1000.0 * ln_n));
@@ -155,13 +166,13 @@ TEST(GossipProtocols, KnowledgeIsMonotone) {
   const BroadcastInstance instance =
       make_broadcast_instance(GnpParams::with_degree(128, 16.0), rng);
   GossipSession session(instance.graph);
-  UniformGossipAllToAll protocol;
+  UniformGossipProtocol protocol;
   protocol.reset(context_for(instance));
   std::vector<NodeId> out;
   std::uint64_t previous = session.total_knowledge();
   for (std::uint32_t round = 1; round <= 50; ++round) {
     out.clear();
-    protocol.select_transmitters(round, session, rng, out);
+    protocol.select_transmitters(round, session.view(), rng, out);
     session.step(out);
     EXPECT_GE(session.total_knowledge(), previous);
     previous = session.total_knowledge();
@@ -173,7 +184,7 @@ TEST(GossipProtocols, BudgetExhaustionReportsCoverage) {
   const BroadcastInstance instance =
       make_broadcast_instance(GnpParams::with_degree(256, 30.0), rng);
   GossipSession session(instance.graph);
-  UniformGossipAllToAll protocol;
+  UniformGossipProtocol protocol;
   const GossipRun run =
       run_gossip(protocol, context_for(instance), session, rng, 5);
   EXPECT_FALSE(run.completed);

@@ -263,7 +263,9 @@ TEST(GnpOverflow, NearCapTinyPStaysInRange) {
     ASSERT_LT(e.u, e.v);
     ASSERT_LT(e.v, n);
     const std::uint64_t idx = pair_linear_index(e.u, e.v);
-    if (!first) ASSERT_GT(idx, prev);  // strictly increasing, no wraparound
+    if (!first) {
+      ASSERT_GT(idx, prev);  // strictly increasing, no wraparound
+    }
     prev = idx;
     first = false;
   }
@@ -316,7 +318,9 @@ TEST(GnpBitmap, ProducesSimpleSymmetricGraph) {
     const auto nbrs = g.neighbors(v);
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       EXPECT_NE(nbrs[i], v);
-      if (i > 0) EXPECT_LT(nbrs[i - 1], nbrs[i]);
+      if (i > 0) {
+        EXPECT_LT(nbrs[i - 1], nbrs[i]);
+      }
       EXPECT_TRUE(g.has_edge(nbrs[i], v));  // symmetry
     }
   }
@@ -367,7 +371,9 @@ TEST_P(GnpBackendSweep, SimpleGraphWithConcentratedEdgeCount) {
     const auto nbrs = g.neighbors(v);
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       EXPECT_NE(nbrs[i], v);
-      if (i > 0) EXPECT_LT(nbrs[i - 1], nbrs[i]);
+      if (i > 0) {
+        EXPECT_LT(nbrs[i - 1], nbrs[i]);
+      }
     }
   }
 }
@@ -517,8 +523,11 @@ INSTANTIATE_TEST_SUITE_P(
                                          GraphBackendChoice::kBitmap,
                                          GraphBackendChoice::kAuto)),
     [](const ::testing::TestParamInfo<AssemblySweep::ParamType>& pinfo) {
-      return "n" + std::to_string(std::get<0>(pinfo.param)) + "_" +
-             to_string(std::get<1>(pinfo.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(pinfo.param));
+      name += "_";
+      name += to_string(std::get<1>(pinfo.param));
+      return name;
     });
 
 TEST(ImplicitAssembly, MaterializeEqualsFromEdgesOfForwardStreams) {

@@ -7,10 +7,11 @@
 
 #include "core/distributed.hpp"
 #include "core/tree_schedule.hpp"
-#include "gossip/gossip_protocols.hpp"
+#include "gossip/gossip_session.hpp"
 #include "graph/degree.hpp"
 #include "graph/topologies.hpp"
 #include "protocols/decay.hpp"
+#include "protocols/uniform_gossip.hpp"
 #include "sim/runner.hpp"
 
 namespace radio {
@@ -80,7 +81,7 @@ TEST(TopologyBroadcast, DecayCompletesOnRandomRegular) {
 TEST(TopologyBroadcast, GossipOnHypercubeCompletes) {
   const Graph g = make_hypercube(7);  // n = 128
   GossipSession session(g);
-  UniformGossipAllToAll protocol;
+  UniformGossipProtocol protocol;
   Rng rng(5);
   const GossipRun run =
       run_gossip(protocol, context_of(g), session, rng, 20000);

@@ -119,9 +119,13 @@ INSTANTIATE_TEST_SUITE_P(
         // Tiny dense graph, lanes outnumber nodes (sources wrap).
         Scenario{9, 0.50, 64, 8}),
     [](const ::testing::TestParamInfo<Scenario>& pinfo) {
-      return "n" + std::to_string(pinfo.param.n) + "_lanes" +
-             std::to_string(pinfo.param.lanes) + "_case" +
-             std::to_string(pinfo.index);
+      std::string name = "n";
+      name += std::to_string(pinfo.param.n);
+      name += "_lanes";
+      name += std::to_string(pinfo.param.lanes);
+      name += "_case";
+      name += std::to_string(pinfo.index);
+      return name;
     });
 
 TEST(BatchEquivalence, PathGraphSingletonWavefrontsMatch) {

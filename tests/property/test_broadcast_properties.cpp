@@ -109,8 +109,11 @@ TEST_P(BroadcastGrid, CentralizedPhaseRoundsScaleWithRegime) {
 
 std::string grid_name(const ::testing::TestParamInfo<GridPoint>& info) {
   static const char* const regimes[] = {"2logn", "log2n", "cbrt"};
-  return "n" + std::to_string(std::get<0>(info.param)) + "_" +
-         regimes[std::get<1>(info.param)];
+  std::string name = "n";
+  name += std::to_string(std::get<0>(info.param));
+  name += "_";
+  name += regimes[std::get<1>(info.param)];
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -146,8 +146,11 @@ INSTANTIATE_TEST_SUITE_P(
                       // Smallest n, half the pairs adjacent.
                       Scenario{24, 0.5, 0.5, 0.5}),
     [](const ::testing::TestParamInfo<Scenario>& pinfo) {
-      return "n" + std::to_string(pinfo.param.n) + "_case" +
-             std::to_string(pinfo.index);
+      std::string name = "n";
+      name += std::to_string(pinfo.param.n);
+      name += "_case";
+      name += std::to_string(pinfo.index);
+      return name;
     });
 
 /// Drives a LightSession from `source` with random informed transmitter

@@ -99,8 +99,11 @@ INSTANTIATE_TEST_SUITE_P(
                       GossipScenario{200, 0.04, 0.05},
                       GossipScenario{60, 0.5, 0.3}),
     [](const ::testing::TestParamInfo<GossipScenario>& pinfo) {
-      return "n" + std::to_string(std::get<0>(pinfo.param)) + "_case" +
-             std::to_string(pinfo.index);
+      std::string name = "n";
+      name += std::to_string(std::get<0>(pinfo.param));
+      name += "_case";
+      name += std::to_string(pinfo.index);
+      return name;
     });
 
 }  // namespace

@@ -1,14 +1,20 @@
 // Streaming workload layer (sim/stream): MessageQueue ledger invariants,
-// PoissonArrivals determinism, and StreamSession end-to-end service —
-// including the conservation invariant (no message lost or duplicated) and
-// the flooding wedge that E16 uses as its negative control.
+// PoissonArrivals determinism, the pipeline's time division, and
+// StreamSession end-to-end service — including the conservation invariant
+// (no message lost or duplicated) and the flooding wedge that E16 uses as its
+// negative control.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "graph/random_graph.hpp"
-#include "protocols/streaming_adapters.hpp"
+#include "protocols/adaptive_backoff.hpp"
+#include "protocols/decay.hpp"
+#include "protocols/flooding.hpp"
 #include "sim/stream/message_queue.hpp"
 #include "sim/stream/stream_session.hpp"
 
@@ -96,12 +102,124 @@ struct DecayRun {
 
 DecayRun run_decay_session(const Graph& g, const StreamConfig& config) {
   const ProtocolContext ctx{g.num_nodes(), 0.0};
-  const auto protocol = make_pipelined_decay(2);
-  StreamSession session(g, ctx, *protocol, config);
+  StreamSession session(
+      g, ctx, [](int) { return std::make_unique<DecayProtocol>(); }, config);
   DecayRun run;
   run.metrics = session.run();
   run.queue = session.queue();
   return run;
+}
+
+/// One select_transmitters or reset call seen by a slot's protocol.
+struct SlotCall {
+  int slot = 0;
+  bool reset = false;
+  std::uint32_t local_round = 0;  ///< select calls only
+  NodeId origin = kInvalidNode;   ///< sole informed node at local round 1
+};
+
+/// Transmits the BFS frontier (nodes informed in the previous local round)
+/// and logs every call. On a path the frontier never collides, so a message
+/// from origin o completes in exactly ecc(o) local rounds.
+class RecordingProtocol final : public Protocol {
+ public:
+  RecordingProtocol(int slot, std::vector<SlotCall>& log)
+      : slot_(slot), log_(&log) {}
+
+  std::string name() const override { return "recording"; }
+  bool is_distributed() const override { return true; }
+  void reset(const ProtocolContext&) override {
+    log_->push_back(SlotCall{slot_, true});
+  }
+  void select_transmitters(std::uint32_t round, const SessionView& session,
+                           Rng&, std::vector<NodeId>& out) override {
+    SlotCall call{slot_, false, round};
+    for (NodeId v = 0; v < session.num_nodes(); ++v) {
+      if (!session.informed(v)) continue;
+      if (session.informed_count() == 1) call.origin = v;
+      if (session.informed_round(v) == round - 1) out.push_back(v);
+    }
+    log_->push_back(call);
+  }
+
+ private:
+  int slot_;
+  std::vector<SlotCall>* log_;
+};
+
+Graph path_graph(NodeId n) {
+  std::vector<Edge> edges;
+  for (NodeId v = 0; v + 1 < n; ++v)
+    edges.push_back({v, static_cast<NodeId>(v + 1)});
+  return Graph::from_edges(n, edges);
+}
+
+// With arrivals keeping the queue full, the wall rounds alternate between
+// the two slots, and each slot replays its message under local rounds
+// 1, 2, …, ecc(origin), resetting its own protocol and starting over at 1
+// after every completed message.
+TEST(StreamSession, SlotsAlternateAndRestartLocalRounds) {
+  static_assert(kPipelineDepth == 2);
+  const NodeId n = 5;
+  const Graph g = path_graph(n);
+  std::vector<SlotCall> log;
+  StreamConfig config;
+  config.rate = 8.0;
+  config.horizon = 60;
+  config.seed = 3;
+  StreamSession session(
+      g, ProtocolContext{n, 0.4},
+      [&log](int slot) {
+        return std::make_unique<RecordingProtocol>(slot, log);
+      },
+      config);
+  const StreamMetrics metrics = session.run();
+  EXPECT_GT(metrics.waiting_at_horizon, 0u);
+
+  std::vector<SlotCall> selects;
+  for (const SlotCall& call : log)
+    if (!call.reset) selects.push_back(call);
+  ASSERT_EQ(selects.size(), config.horizon);
+  for (std::size_t i = 0; i < selects.size(); ++i)
+    EXPECT_EQ(selects[i].slot, static_cast<int>(i % kPipelineDepth)) << i;
+
+  const auto ecc = [n](NodeId v) { return std::max(v, n - 1 - v); };
+  std::uint64_t started = 0;
+  for (int slot = 0; slot < static_cast<int>(kPipelineDepth); ++slot) {
+    std::uint32_t expected = 1;  // next local round of the slot's message
+    std::uint32_t last = 0;      // the current message's ecc(origin)
+    bool reset_pending = false;
+    for (const SlotCall& call : log) {
+      if (call.slot != slot) continue;
+      if (call.reset) {
+        EXPECT_EQ(expected, 1u) << "reset before the message completed";
+        reset_pending = true;
+        continue;
+      }
+      ASSERT_EQ(call.local_round, expected) << "slot " << slot;
+      if (expected == 1) {
+        EXPECT_TRUE(reset_pending) << "message started without a reset";
+        ASSERT_NE(call.origin, kInvalidNode);
+        last = ecc(call.origin);
+        ++started;
+      }
+      reset_pending = false;
+      expected = call.local_round == last ? 1 : call.local_round + 1;
+    }
+  }
+  EXPECT_EQ(started, metrics.delivered + metrics.in_flight_at_horizon);
+  EXPECT_GT(metrics.delivered, 2 * kPipelineDepth);
+}
+
+TEST(StreamSessionDeathTest, ObservationProtocolIsRefused) {
+  const Graph g = path_graph(4);
+  const auto make_session = [&g] {
+    StreamSession session(
+        g, ProtocolContext{4, 0.5},
+        [](int) { return std::make_unique<AdaptiveBackoffProtocol>(); },
+        StreamConfig{});
+  };
+  EXPECT_DEATH(make_session(), "precondition");
 }
 
 TEST(StreamSession, DecayDeliversAndConserves) {
@@ -155,12 +273,13 @@ TEST(StreamSession, FloodingWedgesAndQueueGrows) {
   // grow at the offered load — the honest accounting E16 relies on.
   const Graph g = connected_gnp(64, 20.0, 23);
   const ProtocolContext ctx{g.num_nodes(), 0.0};
-  const auto protocol = make_pipelined_flooding(2);
   StreamConfig config;
   config.rate = 0.05;
   config.horizon = 1000;
   config.seed = 23;
-  StreamSession session(g, ctx, *protocol, config);
+  StreamSession session(
+      g, ctx, [](int) { return std::make_unique<FloodingProtocol>(); },
+      config);
   const StreamMetrics metrics = session.run();
   EXPECT_EQ(metrics.delivered, 0u);
   EXPECT_GT(metrics.enqueued, 20u);
