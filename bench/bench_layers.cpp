@@ -616,8 +616,13 @@ void BM_DistributedBroadcast(benchmark::State& state) {
     benchmark::DoNotOptimize(run.informed);
   }
   state.counters["rounds"] = rounds;
+  state.SetItemsProcessed(state.iterations());  // one trial per iteration
 }
-BENCHMARK(BM_DistributedBroadcast)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 16);
+BENCHMARK(BM_DistributedBroadcast)
+    ->Arg(1 << 10)
+    ->Arg(1 << 12)
+    ->Arg(1 << 13)
+    ->Arg(1 << 16);
 
 /// The Lemma-3 layer probe over a precomputed BFS decomposition (E5).
 void BM_LayerProbe(benchmark::State& state) {

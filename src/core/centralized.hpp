@@ -224,10 +224,16 @@ CentralizedResult build_centralized_schedule(
       if (session.complete()) break;
       if (n - session.informed_count() <= residual_target) break;
       std::vector<NodeId> candidates;
-      for (NodeId v = 0; v < n; ++v)
-        if (session.informed(v) &&
-            (options.ablate_disjoint_sets || !used.test(v)))
-          candidates.push_back(v);
+      const std::span<const std::uint64_t> informed =
+          session.informed_set().words();
+      const std::span<const std::uint64_t> spent = used.words();
+      for (std::size_t wi = 0; wi < informed.size(); ++wi)
+        for_each_set_bit(
+            options.ablate_disjoint_sets ? informed[wi]
+                                         : andnot(informed[wi], spent[wi]),
+            wi * 64, [&](std::size_t v) {
+              candidates.push_back(static_cast<NodeId>(v));
+            });
       if (candidates.empty()) break;
 
       // Build-time resampling: the schedule must be productive once frozen,

@@ -30,6 +30,7 @@ void ElsasserGasieniecBroadcast::reset(const ProtocolContext& ctx) {
   kickoff_probability_ = std::min(1.0, std::max(kick, 1.0 / n));
 
   tail_probability_ = std::min(1.0, options_.selective_rate_scale / d);
+  tail_nodes_.clear();
 }
 
 double ElsasserGasieniecBroadcast::transmit_probability(
@@ -43,14 +44,23 @@ void ElsasserGasieniecBroadcast::select_transmitters(
     std::uint32_t round, const SessionView& session, Rng& rng,
     std::vector<NodeId>& out) {
   const double prob = transmit_probability(round);
-  const bool tail = round > switch_round_;
-  session.informed_set().for_each_set([&](std::size_t i) {
-    const auto v = static_cast<NodeId>(i);
-    if (tail && !options_.tail_includes_late_informed &&
-        session.informed_round(v) > switch_round_)
-      return;  // the paper's tail: only rounds-1…D knowers transmit
+  const auto draw = [&](NodeId v) {
     if (prob >= 1.0 || rng.bernoulli(prob)) out.push_back(v);
-  });
+  };
+  if (round > switch_round_ && !options_.tail_includes_late_informed) {
+    // The paper's tail: only nodes informed by the end of round D transmit.
+    // Rebuilding an empty list is harmless: no later round adds such a node.
+    if (tail_nodes_.empty())
+      session.informed_set().for_each_set([&](std::size_t i) {
+        const auto v = static_cast<NodeId>(i);
+        if (session.informed_round(v) <= switch_round_)
+          tail_nodes_.push_back(v);
+      });
+    for (const NodeId v : tail_nodes_) draw(v);
+    return;
+  }
+  session.informed_set().for_each_set(
+      [&](std::size_t i) { draw(static_cast<NodeId>(i)); });
 }
 
 }  // namespace radio

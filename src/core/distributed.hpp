@@ -9,8 +9,8 @@
 //   round D        : n/d^D-SELECTIVE — informed nodes transmit with
 //                    probability n/d^D (≈ n/d transmitters: the kick-off
 //                    into the giant layers);
-//   rounds D+1, …  : 1/d-SELECTIVE — nodes informed during rounds 1…D
-//                    transmit with probability 1/d.
+//   rounds D+1, …  : 1/d-SELECTIVE — nodes informed by the end of round D
+//                    (the source included) transmit with probability 1/d.
 //
 // The restriction of the selective tail to early-informed nodes is the
 // paper's; `tail_includes_late_informed` switches to the natural variant
@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "sim/protocol.hpp"
 
@@ -27,8 +28,8 @@ struct DistributedOptions {
   /// Tail transmit probability is `selective_rate_scale / d`.
   double selective_rate_scale = 1.0;
 
-  /// Paper: only nodes informed in rounds 1…D transmit in the tail. The
-  /// variant lets everyone informed participate (more robust when the
+  /// Paper: only nodes informed by the end of round D transmit in the tail.
+  /// The variant lets everyone informed participate (more robust when the
   /// realized eccentricity exceeds D).
   bool tail_includes_late_informed = false;
 };
@@ -59,6 +60,12 @@ class ElsasserGasieniecBroadcast final : public Protocol {
   std::uint32_t switch_round_ = 1;  ///< D
   double kickoff_probability_ = 1.0;
   double tail_probability_ = 1.0;
+  /// Ascending ids of the paper's tail transmitters (informed_round ≤ D).
+  /// No round after D changes that set, so it is listed once, at the first
+  /// tail round, and cleared by reset(). Tail rounds draw over this list
+  /// instead of the whole informed set: the same nodes in the same order,
+  /// so every Bernoulli draw is unchanged.
+  std::vector<NodeId> tail_nodes_;
 };
 
 }  // namespace radio

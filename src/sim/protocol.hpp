@@ -38,15 +38,21 @@ class Protocol {
   /// True if the protocol only uses per-node knowledge (see header comment).
   virtual bool is_distributed() const = 0;
 
-  /// Called once before round 1.
+  /// Starts a broadcast: called before its round 1, and again before the
+  /// next broadcast when one instance serves several. A protocol may keep
+  /// per-broadcast state between select calls (DecayProtocol's active set,
+  /// ElsasserGasieniecBroadcast's tail list); reset() must clear it.
   virtual void reset(const ProtocolContext& ctx) = 0;
 
   /// Appends this round's transmitters to `out` (cleared by the caller).
-  /// `round` is 1-based and equals session.current_round() + 1. The view is
-  /// the per-node knowledge surface; BroadcastSession converts implicitly,
-  /// the batch core (sim/batch) builds one per lane per round, a stream
-  /// slot (sim/stream) passes its current message's view, and a gossip
-  /// session's view shows every node informed.
+  /// `round` is the 1-based round of the current broadcast: it counts from 1
+  /// after each reset(), so a stream slot passes its message's local round.
+  /// Between resets every view shows that one broadcast: its informed set
+  /// only grows, and a node's informed round never changes. The view is the
+  /// per-node knowledge surface; BroadcastSession converts implicitly, the
+  /// batch core (sim/batch) builds one per lane per round, a stream slot
+  /// (sim/stream) passes its current message's view, and a gossip session's
+  /// view shows every node informed.
   virtual void select_transmitters(std::uint32_t round,
                                    const SessionView& session, Rng& rng,
                                    std::vector<NodeId>& out) = 0;

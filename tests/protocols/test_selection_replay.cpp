@@ -1,9 +1,10 @@
-// Transmitter selection walks the informed set word by word instead of
-// testing all n nodes. These replays pin that every protocol doing so picks
-// the same nodes, in the same ascending order, with the same draws as a
-// test-local scan over all n nodes: before each round of a real broadcast
-// the reference replays the round on a copy of the protocol's Rng, and the
-// transmitters and the generator state afterwards must both match.
+// Transmitter selection walks the informed set word by word, or a node list
+// kept from an earlier round of the same broadcast, instead of testing all n
+// nodes. These replays pin that every protocol doing so picks the same
+// nodes, in the same ascending order, with the same draws as a test-local
+// scan over all n nodes: before each round of a real broadcast the reference
+// replays the round on a copy of the protocol's Rng, and the transmitters and
+// the generator state afterwards must both match.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,16 +45,16 @@ std::vector<NodeId> full_scan(const SessionView& view,
 using Reference =
     std::function<std::vector<NodeId>(std::uint32_t, const SessionView&, Rng&)>;
 
-/// Broadcasts with `protocol` (reset, observations fed back as run_protocol
-/// does) and checks every round against `reference`. Returns the number of
-/// rounds in which some, but not every, node was informed.
-int replay(Protocol& protocol, const Reference& reference,
-           std::uint64_t seed) {
+/// Broadcasts from `source` with `protocol` (reset, observations fed back as
+/// run_protocol does) and checks every round against `reference`. Returns
+/// the number of rounds in which some, but not every, node was informed.
+int replay(Protocol& protocol, const Reference& reference, std::uint64_t seed,
+           NodeId source = 7) {
   Rng graph_rng(seed);
   const Graph g = generate_gnp({kNodes, kEdgeProbability}, graph_rng);
   const ProtocolContext ctx{kNodes, kEdgeProbability};
   protocol.reset(ctx);
-  BroadcastSession session(g, 7);
+  BroadcastSession session(g, source);
   const bool feedback = protocol.wants_observations();
   if (feedback) session.enable_observations();
   Rng rng(seed + 1);
@@ -78,23 +79,34 @@ int replay(Protocol& protocol, const Reference& reference,
   return partial_rounds;
 }
 
+/// Theorem 7's rule as a full scan: every informed node in rounds ≤ D, and
+/// in the tail only those informed by the end of round D unless `late`.
+Reference elsasser_gasieniec_reference(
+    const ElsasserGasieniecBroadcast& protocol, bool late) {
+  return [&protocol, late](std::uint32_t round, const SessionView& view,
+                           Rng& rng) {
+    const double prob = protocol.transmit_probability(round);
+    const bool tail = round > protocol.phase_switch_round();
+    return full_scan(view, [&](NodeId v) {
+      if (tail && !late &&
+          view.informed_round(v) > protocol.phase_switch_round())
+        return false;
+      return prob >= 1.0 || rng.bernoulli(prob);
+    });
+  };
+}
+
 TEST(SelectionReplay, ElsasserGasieniecBothTails) {
   for (const bool late : {false, true}) {
     DistributedOptions options;
     options.tail_includes_late_informed = late;
     ElsasserGasieniecBroadcast protocol(options);
-    const Reference reference = [&](std::uint32_t round,
-                                    const SessionView& view, Rng& rng) {
-      const double prob = protocol.transmit_probability(round);
-      const bool tail = round > protocol.phase_switch_round();
-      return full_scan(view, [&](NodeId v) {
-        if (tail && !late &&
-            view.informed_round(v) > protocol.phase_switch_round())
-          return false;
-        return prob >= 1.0 || rng.bernoulli(prob);
-      });
-    };
+    const Reference reference = elsasser_gasieniec_reference(protocol, late);
     EXPECT_GT(replay(protocol, reference, 11), 3);
+    // The paper's tail list lives for one broadcast: the same instance runs
+    // a second one on another graph from another source, and a list kept
+    // across reset() would draw over the first broadcast's nodes.
+    EXPECT_GT(replay(protocol, reference, 22, 150), 3);
   }
 }
 
