@@ -141,8 +141,7 @@ KERNEL_FILES = (
     "src/sim/light_session.hpp",
     "src/sim/batch/batch_engine.cpp",
     "src/sim/batch/batch_engine.hpp",
-    "src/sim/batch/batch_scheduler.cpp",
-    "src/sim/batch/batch_scheduler.hpp",
+    "src/sim/batch/batch_runner.cpp",
     "src/sim/stream/message_queue.hpp",
     "src/sim/stream/stream_session.hpp",
     "src/gossip/gossip_session.cpp",

@@ -44,12 +44,6 @@
 namespace radio {
 namespace {
 
-/// Lane width of every search's batched probes. A search call evaluates at
-/// most 20 probes per generation and the scheduler clamps its lanes to that
-/// count, so any width of 20 or more runs the same; results are
-/// byte-identical for every width (the sim/batch determinism contract).
-constexpr std::uint32_t kSearchLanes = 32;
-
 /// Per-instance search outcome plus its certificate fields, flattened for
 /// run_trials aggregation.
 struct GuidedTrial {
@@ -125,7 +119,6 @@ ExperimentResult run_e7_lower_bounds(const ExperimentConfig& config) {
       search.generations = config.quick ? 12 : 32;
       search.population = config.quick ? 6 : 10;
       search.trials_per_candidate = 2;
-      search.batch_lanes = kSearchLanes;
 
       const std::uint64_t row_seed =
           derive_row_seed(config.seed, stream_tags::kE7LowerBounds, stream_tags::kRowThm8, n);
@@ -204,7 +197,6 @@ ExperimentResult run_e7_lower_bounds(const ExperimentConfig& config) {
       tight.round_budget = static_cast<std::uint32_t>(ln_n);
       tight.generations = config.quick ? 10 : 24;
       tight.population = config.quick ? 8 : 16;
-      tight.batch_lanes = kSearchLanes;
       // Generous budget to locate the true completion scale (Theta(ln n)).
       GuidedSearchParams loose = tight;
       loose.round_budget = static_cast<std::uint32_t>(10.0 * ln_n);

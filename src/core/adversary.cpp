@@ -75,7 +75,7 @@ struct Evaluated {
 /// Determinism: `rng` is consumed ONLY on the main thread (probe seed,
 /// seeding, mutation). Probe u of the whole search draws from
 /// Rng::for_stream(probe_seed, u) via run_broadcast_batch, so the entire
-/// trajectory is byte-identical for any batch_lanes / thread count.
+/// trajectory is byte-identical for any lane width / thread count.
 template <typename Policy>
 GuidedSearchOutcome guided_search(const Graph& g, NodeId source,
                                   const ProtocolContext& ctx,
@@ -106,7 +106,7 @@ GuidedSearchOutcome guided_search(const Graph& g, NodeId source,
     };
     const std::vector<BroadcastRun> runs =
         run_broadcast_batch(g, ctx, source, units, probe_seed, first, factory,
-                            params.round_budget, params.batch_lanes);
+                            params.round_budget, kMaxBatchLanes);
     std::vector<Evaluated> evals(candidates.size());
     for (std::size_t c = 0; c < candidates.size(); ++c) {
       Evaluated& e = evals[c];

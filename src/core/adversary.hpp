@@ -9,11 +9,12 @@
 // replaces the estimate with a (1+λ) local search: keep one incumbent
 // schedule, spawn λ mutants per generation, evaluate every mutant's trials
 // as LANES of a single run_broadcast_batch call on the shared graph
-// (population-as-lanes), and adopt a mutant only when its *worst* trial
-// strictly improves on the incumbent's. Probe u always draws from
-// Rng::for_stream(probe_seed, u), so the search trajectory — and every
-// number derived from it — is byte-identical for any lane width and any
-// thread count (the sim/batch determinism contract).
+// (population-as-lanes, at the width sim/batch picks), and adopt a mutant
+// only when its *worst* trial strictly improves on the incumbent's. Probe u
+// always draws from Rng::for_stream(probe_seed, u), so the search
+// trajectory — and every number derived from it — is byte-identical for any
+// lane width and any thread count (the determinism contract in
+// sim/batch/batch_runner.hpp).
 //
 // Each search emits a per-instance CERTIFICATE: the best schedule found, the
 // witness node that pinned its completion time (or stayed uninformed for the
@@ -86,10 +87,6 @@ struct GuidedSearchParams {
   /// by the small-set search (fixed schedules are deterministic: 1 probe).
   int trials_per_candidate = 2;
   NodeId max_set_size = 2;       ///< small-set genes: 1- or 2-sets
-  /// Lane width for the batched core: a generation's λ×trials probes run as
-  /// lanes of ONE run_broadcast_batch call on the shared graph. Results are
-  /// byte-identical for any value (see sim/batch/batch_scheduler.hpp).
-  std::uint32_t batch_lanes = 1;
 };
 
 /// The per-instance certificate a guided search leaves behind.

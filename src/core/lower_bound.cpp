@@ -84,7 +84,7 @@ ObliviousSearchOutcome search_oblivious_schedules(
   // Every (candidate, trial) probe is an independent broadcast on the SAME
   // graph — exactly the shape the batched core amortizes. Probe u gets its
   // own stream for_stream(probe_seed, u), so results are byte-identical
-  // whether the probes run one per engine or batch_lanes at a time.
+  // whether the probes run one per engine or packed into lanes.
   const std::uint64_t probe_seed = rng();
   const int tpc = params.trials_per_candidate;
   const int units = static_cast<int>(candidates.size()) * tpc;
@@ -94,7 +94,7 @@ ObliviousSearchOutcome search_oblivious_schedules(
   };
   const std::vector<BroadcastRun> runs =
       run_broadcast_batch(g, ctx, source, units, probe_seed, 0, factory,
-                          params.round_budget, params.batch_lanes);
+                          params.round_budget, kMaxBatchLanes);
 
   ObliviousSearchOutcome outcome;
   outcome.best_rounds = params.round_budget + 1;

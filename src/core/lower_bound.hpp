@@ -43,11 +43,6 @@ struct ObliviousSearchParams {
   std::uint32_t round_budget = 0;  ///< rounds each candidate may use
   int num_candidates = 64;         ///< random sequences sampled
   int trials_per_candidate = 3;    ///< completion must hold on every trial
-  /// Lane width for the batched simulation core (sim/batch): every
-  /// (candidate, trial) probe runs on the SAME graph, so probes advance
-  /// `batch_lanes` at a time per kernel sweep. 1 = per-instance engine.
-  /// Results are byte-identical for any value (see batch_scheduler.hpp).
-  std::uint32_t batch_lanes = 1;
 };
 
 struct ObliviousSearchOutcome {

@@ -1,15 +1,15 @@
-// Instance-parallel radio channel: B broadcast instances ("lanes") on ONE
-// shared graph, advanced together by word-parallel sweeps.
+// Instance-parallel radio channel: up to 64 broadcast instances ("lanes")
+// on ONE shared graph, advanced together by word-parallel sweeps.
 //
-// Layout. State is lane-sliced SoA: for every node v the engine keeps a
-// ⌈B/64⌉-word lane mask per plane (informed / transmitting / hit-once /
-// hit-twice), stored contiguously per node, node-major. Bit l of node v's
-// word says what lane l's instance knows about v. One pass over the shared
-// adjacency therefore advances ALL lanes: folding transmitter u's neighbor w
-// costs ⌈B/64⌉ word ops and serves every lane in which u transmits — the
-// per-round work is Σ over the UNION of the lanes' transmitter sets, not the
-// sum, which is where the batch speedup comes from (protocols with
-// overlapping transmitter sets, e.g. flood-like phases, amortize best).
+// Layout. State is lane-sliced SoA: for every node v the engine keeps one
+// 64-bit lane word per plane (informed / transmitting / hit-once /
+// hit-twice), node-indexed. Bit l of node v's word says what lane l's
+// instance knows about v. One pass over the shared adjacency therefore
+// advances ALL lanes: folding transmitter u's neighbor w costs one word op
+// and serves every lane in which u transmits — the per-round work is Σ over
+// the UNION of the lanes' transmitter sets, not the sum, which is where the
+// batch speedup comes from (protocols with overlapping transmitter sets,
+// e.g. flood-like phases, amortize best).
 //
 // Semantics per lane are EXACTLY RadioEngine's (sim/engine.hpp): a listener
 // receives iff precisely one neighbor transmits, ≥ 2 jam, transmitters never
@@ -25,7 +25,7 @@
 // node transmits, and those bits are frozen for the round.
 //
 // The engine knows nothing about protocols, RNG streams or trial queues;
-// BatchScheduler (batch_scheduler.hpp) owns that. No wall clock, no
+// run_broadcast_batch (batch_runner.hpp) owns those. No wall clock, no
 // iostream: this file is part of the simulation kernel (radio-lint enforces
 // both).
 #pragma once
@@ -40,6 +40,9 @@
 
 namespace radio {
 
+/// Lanes one engine holds: one 64-bit lane word per node and plane.
+inline constexpr std::uint32_t kMaxBatchLanes = 64;
+
 class BatchEngine {
  public:
   /// What one lane experienced in the round just stepped.
@@ -50,14 +53,11 @@ class BatchEngine {
     std::uint32_t redundant = 0;       ///< informed listeners that heard again
   };
 
-  /// `lanes` in [1, 4096]; the graph must outlive the engine.
+  /// `lanes` in [1, kMaxBatchLanes]; the graph must outlive the engine.
   BatchEngine(const Graph& g, std::uint32_t lanes);
 
   const Graph& graph() const noexcept { return *graph_; }
   std::uint32_t lane_count() const noexcept { return lane_count_; }
-
-  /// Words per lane-mask slice (⌈lane_count/64⌉) — shrinks on compact().
-  std::size_t lane_words() const noexcept { return stride_; }
 
   /// (Re)initializes a lane: informed = {source} at round 0. Clears any
   /// previous instance state the lane held.
@@ -79,7 +79,7 @@ class BatchEngine {
   }
 
   /// The protocol-facing knowledge surface of one lane (valid until the next
-  /// step()/open_lane()/compact() on that lane).
+  /// step()/open_lane() on that lane).
   SessionView view(std::uint32_t lane) const noexcept {
     return SessionView(*graph_, informed_mirror_[lane], informed_round_[lane],
                        informed_count_[lane]);
@@ -88,7 +88,8 @@ class BatchEngine {
   /// Registers every node of `vs` as a transmitter of `lane` for the
   /// upcoming step(). Duplicate (lane, v) pairs are caller bugs, as in
   /// RadioEngine. One lane-mask/mirror setup amortized over the whole set —
-  /// the scheduler feeds each lane's per-round transmitter list through this.
+  /// the trial loop feeds each lane's per-round transmitter list through
+  /// this.
   void add_transmitters(std::uint32_t lane, std::span<const NodeId> vs);
 
   /// Executes one synchronous round for every lane in `active` (ascending
@@ -102,29 +103,12 @@ class BatchEngine {
     return outcome_[lane];
   }
 
-  /// Retires lane slots: lane i of the compacted engine is old lane
-  /// `old_lane_of_new[i]` (strictly increasing). Shrinking the lane count
-  /// shrinks lane_words(), and with it the per-word cost of every subsequent
-  /// sweep — the scheduler calls this when occupancy drops. Must not be
-  /// called with transmitters pending.
-  void compact(std::span<const std::uint32_t> old_lane_of_new);
-
  private:
-  std::uint64_t* plane(std::vector<std::uint64_t>& p, NodeId v) noexcept {
-    return p.data() + static_cast<std::size_t>(v) * stride_;
-  }
-  const std::uint64_t* plane(const std::vector<std::uint64_t>& p,
-                             NodeId v) const noexcept {
-    return p.data() + static_cast<std::size_t>(v) * stride_;
-  }
-
   const Graph* graph_;
   std::uint32_t lane_count_;
-  std::size_t stride_;  ///< words per lane slice
 
-  // Lane-sliced planes, node-major: node v's slice is words [v·stride,
-  // (v+1)·stride). once_/twice_/tx_ are all-zero between rounds (reset via
-  // touched lists, never O(n·stride)).
+  // Lane words, node-indexed. once_/twice_/tx_ are all-zero between rounds
+  // (reset via the round's node lists, never O(n)).
   std::vector<std::uint64_t> informed_p_;
   std::vector<std::uint64_t> once_;
   std::vector<std::uint64_t> twice_;
@@ -140,14 +124,16 @@ class BatchEngine {
   std::vector<LaneOutcome> outcome_;
 
   // Round scratch.
-  std::vector<NodeId> tx_nodes_;        ///< union of this round's transmitters
-  std::vector<std::uint8_t> tx_flag_;   ///< node in tx_nodes_?
-  std::vector<std::uint32_t> tx_count_; ///< per lane
+  /// This round's transmitters in first-registration order: v is listed
+  /// iff tx_[v] != 0.
+  std::vector<NodeId> tx_nodes_;
+  std::vector<std::uint32_t> tx_count_;  ///< per lane
   /// Bit l set while every transmitter registered by lane l is informed —
   /// then a unique sender in lane l delivers without resolving WHO sent.
-  std::vector<std::uint64_t> all_tx_informed_;
-  std::vector<NodeId> touched_;         ///< listeners hit this round
-  std::vector<std::uint8_t> touched_flag_;
+  std::uint64_t all_tx_informed_ = ~std::uint64_t{0};
+  /// Listeners hit this round in first-touch order: w is listed iff
+  /// once_[w] != 0.
+  std::vector<NodeId> touched_;
 };
 
 }  // namespace radio

@@ -1,30 +1,40 @@
-// Dispatch seam between per-instance and batched broadcast execution.
+// Dispatch seam between per-instance and batched broadcast execution, and
+// the batched trial loop itself.
 //
-// Batching requires trials that share ONE graph (the lane planes are slices
+// Batching requires trials that share ONE graph (the lane words are slices
 // over a single adjacency): workloads that sample a fresh G(n,p) per trial
 // (e.g. E1's per-trial instances) are structurally per-instance and use the
 // classic RadioEngine path unchanged. For shared-instance workloads the cost
 // model here decides how many lanes actually pay:
 //
-//   * oversized — lane state grows with n·⌈B/64⌉ plane words plus per-lane
-//     mirrors; batch_lanes_for clamps B so the whole working set stays under
-//     kBatchStateByteLimit (halving until it fits, down to the per-instance
-//     path);
+//   * width — one BatchEngine holds at most kMaxBatchLanes lanes, and never
+//     more lanes than trials;
+//   * oversized — lane state grows with 4·n plane words plus per-lane
+//     mirrors; batch_lanes_for halves the lane count until the whole working
+//     set stays under kBatchStateByteLimit, down to the per-instance path;
 //   * observation feedback — protocols that want per-node channel
 //     observations (collision-detection extension) need state the planes do
 //     not track: per-instance fallback;
 //   * degenerate — fewer than 2 trials or fewer than 2 lanes: per-instance.
 //
-// Whatever path runs, trial t's result is byte-identical: both paths drive
-// trial t with Rng::for_stream(seed, first_stream + t) over the same
-// engine semantics (the determinism contract in batch_scheduler.hpp).
+// The batched loop hosts one trial per lane: its own Protocol instance, its
+// own Rng::for_stream(seed, first_stream + trial) stream and its own round
+// counter in the engine. Every sweep steps all occupied lanes by one round;
+// a lane whose trial completes (or exhausts the round budget) retires at
+// once and takes the next queued trial WITHOUT waiting for its batch-mates.
+//
+// Determinism contract: trial t's result equals broadcast_with(factory(t),
+// ctx, g, source, Rng::for_stream(seed, first_stream + t), max_rounds)
+// byte-for-byte on either path and for ANY lane count — lane packing
+// affects wall time only. tests/analysis/test_batch_determinism.cpp pins
+// this.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "sim/batch/batch_scheduler.hpp"
+#include "sim/batch/batch_engine.hpp"
 #include "sim/runner.hpp"
 
 namespace radio {
@@ -33,21 +43,17 @@ namespace radio {
 /// as an adjacency bitmap's (graph/graph.hpp).
 inline constexpr std::size_t kBatchStateByteLimit = kBitmapByteLimit;
 
-/// Bytes of lane state a B-lane engine holds on g (4 planes of
-/// n·⌈B/64⌉ words plus per-lane informed mirror and round array).
+/// Bytes of lane state a B-lane engine holds on g (4 planes of n words plus
+/// per-lane informed mirror and round array).
 std::size_t batch_state_bytes(const Graph& g, std::uint32_t lanes) noexcept;
 
-/// The cost model's lane clamp: the largest power-of-two-ish lane count
-/// <= `requested` whose state fits kBatchStateByteLimit (1 when batching
-/// does not apply — requested < 2 or the graph is empty).
+/// The cost model's lane clamp: `requested` capped at kMaxBatchLanes, then
+/// halved until its state fits kBatchStateByteLimit (1 when batching does
+/// not apply — requested < 2 or the graph has fewer than 2 nodes).
 std::uint32_t batch_lanes_for(const Graph& g, std::uint32_t requested) noexcept;
 
-/// Which execution path the dispatcher chose, and why. Previously the
-/// observation-feedback fallback was silent: a caller asking for 64 lanes
-/// with a wants_observations protocol got per-instance execution with no
-/// record, so speedup accounting quietly lied. The plan makes every
-/// fallback reportable (and testable — tests/analysis/
-/// test_batch_dispatch.cpp pins each reason).
+/// Which execution path the dispatcher chose, and why
+/// (tests/analysis/test_batch_dispatch.cpp pins each reason).
 struct BatchDispatch {
   enum class Path { kBatched, kPerInstance };
 
@@ -66,9 +72,9 @@ BatchDispatch plan_broadcast_batch(const Graph& g, int trials,
 
 /// Runs `trials` broadcasts of factory(t) on the SHARED graph g from
 /// `source`, trial t drawing from Rng::for_stream(seed, first_stream + t),
-/// batched `lanes` wide when the cost model approves and per-instance
-/// otherwise. Serial (no OpenMP): callers run it inside their own trial,
-/// e.g. one adversary search per run_trials trial.
+/// batched up to `lanes` wide when the cost model approves and
+/// per-instance otherwise. Serial (no OpenMP): callers run it inside their
+/// own trial, e.g. one adversary search per run_trials trial.
 ///
 /// `factory` must be pure (no side effects): the dispatcher probes
 /// factory(0) once to detect observation-feedback protocols.

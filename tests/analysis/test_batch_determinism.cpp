@@ -1,8 +1,8 @@
-// The sim/batch determinism contract, scheduler half: trial t of a batched
+// The sim/batch determinism contract, trial-loop half: trial t of a batched
 // run is byte-identical to broadcast_with(factory(t), …,
 // Rng::for_stream(seed, first_stream + t), …) for ANY lane count — lane
-// packing and compaction change wall time, never data. This is the dynamic pin of the per-trial seed
-// derivation documented in util/rng.hpp (lane independence).
+// packing changes wall time, never data. This is the dynamic pin of the
+// per-trial seed derivation documented in util/rng.hpp (lane independence).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +12,6 @@
 #include "graph/random_graph.hpp"
 #include "protocols/decay.hpp"
 #include "sim/batch/batch_runner.hpp"
-#include "sim/batch/batch_scheduler.hpp"
 #include "sim/runner.hpp"
 
 namespace radio {
@@ -60,10 +59,13 @@ TEST(BatchDeterminism, SchedulerMatchesPerInstanceForAnyLaneCount) {
       reference_runs(g, ctx, 0, trials, seed, 0, decay_factory(), max_rounds);
   ASSERT_EQ(expected.size(), static_cast<std::size_t>(trials));
 
-  for (std::uint32_t lanes : {1u, 3u, 8u, 64u}) {
-    BatchScheduler scheduler(g, ctx, lanes, max_rounds);
-    const std::vector<BroadcastRun> got =
-        scheduler.run(seed, 0, trials, 0, decay_factory());
+  // A 1-lane request always routes per-instance; these all run batched.
+  for (std::uint32_t lanes : {2u, 3u, 8u, 64u}) {
+    ASSERT_EQ(plan_broadcast_batch(g, trials, decay_factory(), lanes).path,
+              BatchDispatch::Path::kBatched)
+        << "lanes=" << lanes;
+    const std::vector<BroadcastRun> got = run_broadcast_batch(
+        g, ctx, 0, trials, seed, 0, decay_factory(), max_rounds, lanes);
     ASSERT_EQ(got.size(), expected.size()) << "lanes=" << lanes;
     for (int t = 0; t < trials; ++t)
       EXPECT_TRUE(same_run(got[static_cast<std::size_t>(t)],
@@ -90,7 +92,7 @@ TEST(BatchDeterminism, FirstStreamOffsetAlignsWithForStream) {
     EXPECT_TRUE(same_run(got[t], expected[t])) << "trial " << t;
 }
 
-TEST(BatchDeterminism, SchedulerCompactsTailWithoutChangingResults) {
+TEST(BatchDeterminism, LaneRequestAboveOneWordRunsAtTheCap) {
   Rng graph_rng(31);
   const NodeId n = 80;
   const double p = 0.1;
@@ -100,16 +102,17 @@ TEST(BatchDeterminism, SchedulerCompactsTailWithoutChangingResults) {
   const std::uint32_t max_rounds = 400;
   const std::uint64_t seed = 17;
 
+  // 128 requested lanes run one full lane word, refilled until the queue of
+  // 150 trials is dry.
+  const BatchDispatch plan =
+      plan_broadcast_batch(g, trials, decay_factory(), 128);
+  EXPECT_EQ(plan.path, BatchDispatch::Path::kBatched);
+  EXPECT_EQ(plan.lanes, 64u);
+
   const std::vector<BroadcastRun> expected =
       reference_runs(g, ctx, 0, trials, seed, 0, decay_factory(), max_rounds);
-
-  // 128 lanes → two lane words; once the queue is dry and retirement halves
-  // the occupancy the scheduler must compact the stride down to one word.
-  BatchScheduler scheduler(g, ctx, 128, max_rounds);
-  const std::vector<BroadcastRun> got =
-      scheduler.run(seed, 0, trials, 0, decay_factory());
-  EXPECT_GE(scheduler.compactions(), 1u)
-      << "tail retirement never triggered a lane compaction";
+  const std::vector<BroadcastRun> got = run_broadcast_batch(
+      g, ctx, 0, trials, seed, 0, decay_factory(), max_rounds, 128);
   ASSERT_EQ(got.size(), expected.size());
   for (int t = 0; t < trials; ++t)
     EXPECT_TRUE(same_run(got[static_cast<std::size_t>(t)],

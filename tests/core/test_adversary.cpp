@@ -107,13 +107,10 @@ class GuidedSearchFixture : public ::testing::Test {
     params_.trials_per_candidate = 2;
   }
 
-  GuidedSearchOutcome run_oblivious(std::uint32_t lanes,
-                                    std::uint64_t seed = 1234) {
-    GuidedSearchParams params = params_;
-    params.batch_lanes = lanes;
-    Rng rng(seed);
+  GuidedSearchOutcome run_oblivious() {
+    Rng rng(1234);
     return guided_oblivious_search(instance_.graph, source_,
-                                   context_for(instance_), params, rng);
+                                   context_for(instance_), params_, rng);
   }
 
   BroadcastInstance instance_;
@@ -121,60 +118,8 @@ class GuidedSearchFixture : public ::testing::Test {
   GuidedSearchParams params_;
 };
 
-TEST_F(GuidedSearchFixture, ByteIdenticalAcrossLaneWidths) {
-  const GuidedSearchOutcome lanes1 = run_oblivious(1);
-  const GuidedSearchOutcome lanes5 = run_oblivious(5);
-  const GuidedSearchOutcome lanes64 = run_oblivious(64);
-  for (const GuidedSearchOutcome* other : {&lanes5, &lanes64}) {
-    EXPECT_EQ(lanes1.best_rounds, other->best_rounds);
-    EXPECT_EQ(lanes1.completed_fraction, other->completed_fraction);
-    EXPECT_EQ(lanes1.certificate.witness, other->certificate.witness);
-    EXPECT_EQ(lanes1.certificate.rounds_survived,
-              other->certificate.rounds_survived);
-    EXPECT_EQ(lanes1.certificate.improvements,
-              other->certificate.improvements);
-    EXPECT_EQ(lanes1.certificate.oblivious_probs,
-              other->certificate.oblivious_probs);
-  }
-}
-
-// The Theorem-6 search evaluates one probe per candidate, so a generation
-// is `population` probes: at 3 lanes the scheduler must refill a lane
-// mid-generation, at 64 every probe gets a lane at once.
-TEST_F(GuidedSearchFixture, SmallSetSearchByteIdenticalAcrossLaneWidths) {
-  ASSERT_GE(params_.population, 4);
-  const auto run_small_set = [&](std::uint32_t lanes) {
-    GuidedSearchParams params = params_;
-    params.batch_lanes = lanes;
-    Rng rng(4321);
-    return guided_small_set_search(instance_.graph, source_, params, rng);
-  };
-  const GuidedSearchOutcome lanes1 = run_small_set(1);
-  const GuidedSearchOutcome lanes3 = run_small_set(3);
-  const GuidedSearchOutcome lanes64 = run_small_set(64);
-  for (const GuidedSearchOutcome* other : {&lanes3, &lanes64}) {
-    EXPECT_EQ(lanes1.best_rounds, other->best_rounds);
-    EXPECT_EQ(lanes1.completed_fraction, other->completed_fraction);
-    EXPECT_EQ(lanes1.certificate.witness, other->certificate.witness);
-    EXPECT_EQ(lanes1.certificate.rounds_survived,
-              other->certificate.rounds_survived);
-    EXPECT_EQ(lanes1.certificate.probes, other->certificate.probes);
-    EXPECT_EQ(lanes1.certificate.improvements,
-              other->certificate.improvements);
-    ASSERT_EQ(lanes1.certificate.small_sets.size(),
-              other->certificate.small_sets.size());
-    for (std::size_t t = 0; t < lanes1.certificate.small_sets.size(); ++t) {
-      const SmallRoundSet& a = lanes1.certificate.small_sets[t];
-      const SmallRoundSet& b = other->certificate.small_sets[t];
-      EXPECT_EQ(a.size, b.size) << "round " << t;
-      EXPECT_EQ(a.node[0], b.node[0]) << "round " << t;
-      EXPECT_EQ(a.node[1], b.node[1]) << "round " << t;
-    }
-  }
-}
-
 TEST_F(GuidedSearchFixture, CertificateAccountsForEveryProbe) {
-  const GuidedSearchOutcome outcome = run_oblivious(8);
+  const GuidedSearchOutcome outcome = run_oblivious();
   // seeds (population) + generations × population, ×trials each.
   const std::uint64_t expected =
       static_cast<std::uint64_t>(params_.population) *
@@ -195,14 +140,13 @@ TEST_F(GuidedSearchFixture, CertificateAccountsForEveryProbe) {
 }
 
 TEST_F(GuidedSearchFixture, MatchesOrBeatsBlindSamplingAtEqualProbeBudget) {
-  const GuidedSearchOutcome guided = run_oblivious(16);
+  const GuidedSearchOutcome guided = run_oblivious();
   // Blind best-of-K sampling with the SAME number of candidate evaluations
   // (the probes then match exactly: candidates × trials_per_candidate).
   ObliviousSearchParams blind;
   blind.round_budget = params_.round_budget;
   blind.num_candidates = params_.population * (params_.generations + 1);
   blind.trials_per_candidate = params_.trials_per_candidate;
-  blind.batch_lanes = 16;
   Rng rng(1234);
   const ObliviousSearchOutcome sampled = search_oblivious_schedules(
       instance_.graph, source_, context_for(instance_), blind, rng);

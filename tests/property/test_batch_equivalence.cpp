@@ -1,9 +1,9 @@
 // Property test: every lane of BatchEngine advances exactly like a solo
 // BroadcastSession fed the same transmitter sets — round by round, across
-// random graphs, lane counts (including multi-word strides), dense and
+// random graphs, lane counts (partial and full lane words), dense and
 // sparse regimes, and schedules that mix informed and uninformed (jamming)
 // transmitters. This is the differential half of the sim/batch determinism
-// contract; tests/analysis/test_batch_determinism.cpp pins the scheduler
+// contract; tests/analysis/test_batch_determinism.cpp pins the trial-loop
 // half (trial packing).
 #include <gtest/gtest.h>
 
@@ -114,8 +114,8 @@ INSTANTIATE_TEST_SUITE_P(
         Scenario{60, 0.25, 3, 10},
         // Full word, sparse regime (resolve path, slow spread).
         Scenario{200, 0.03, 64, 12},
-        // Multi-word stride: lane masks span two words.
-        Scenario{80, 0.10, 96, 10},
+        // Partial word past bit 31: lanes use the word's upper half.
+        Scenario{80, 0.10, 40, 10},
         // Tiny dense graph, lanes outnumber nodes (sources wrap).
         Scenario{9, 0.50, 64, 8}),
     [](const ::testing::TestParamInfo<Scenario>& pinfo) {

@@ -1,11 +1,10 @@
 // BatchEngine unit tests: lane lifecycle (open/reuse), stepping a subset of
-// lanes, SessionView surface, and compaction. The cross-checked semantics
-// (batch ≡ RadioEngine per lane) live in
+// lanes, SessionView surface, and the one-word lane cap. The cross-checked
+// semantics (batch ≡ RadioEngine per lane) live in
 // tests/property/test_batch_equivalence.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "graph/random_graph.hpp"
@@ -30,7 +29,6 @@ TEST(BatchEngine, OpenLaneStartsAtSourceOnly) {
   engine.open_lane(1, 3);
   engine.open_lane(2, 5);
   EXPECT_EQ(engine.lane_count(), 3u);
-  EXPECT_EQ(engine.lane_words(), 1u);
   for (std::uint32_t lane = 0; lane < 3; ++lane) {
     EXPECT_EQ(engine.informed_count(lane), 1u);
     EXPECT_EQ(engine.round(lane), 0u);
@@ -110,86 +108,19 @@ TEST(BatchEngine, ReopenedLaneForgetsPreviousInstance) {
   EXPECT_EQ(engine.informed_count(1), 1u);
 }
 
-TEST(BatchEngine, CompactShrinksStrideAndPreservesSurvivors) {
-  Rng rng(404);
-  const Graph g = generate_gnp({90, 0.08}, rng);
-  const std::uint32_t lanes = 128;  // stride 2
-  BatchEngine engine(g, lanes);
-  std::vector<std::unique_ptr<BroadcastSession>> ref;
-  std::vector<std::uint32_t> active;
-  for (std::uint32_t lane = 0; lane < lanes; ++lane) {
-    const NodeId source = static_cast<NodeId>(lane % g.num_nodes());
-    engine.open_lane(lane, source);
-    ref.push_back(std::make_unique<BroadcastSession>(g, source));
-    active.push_back(lane);
-  }
-  ASSERT_EQ(engine.lane_words(), 2u);
-
-  // Advance everything a few rounds with randomized flood-ish schedules.
-  std::vector<Rng> schedule_rng;
-  for (std::uint32_t lane = 0; lane < lanes; ++lane)
-    schedule_rng.push_back(Rng::for_stream(7, lane));
-  std::vector<std::vector<NodeId>> tx(lanes);
-  for (int round = 0; round < 4; ++round) {
-    for (std::uint32_t lane = 0; lane < lanes; ++lane) {
-      tx[lane].clear();
-      for (NodeId v = 0; v < g.num_nodes(); ++v)
-        if (ref[lane]->informed(v) && schedule_rng[lane].bernoulli(0.5))
-          tx[lane].push_back(v);
-      engine.add_transmitters(lane, tx[lane]);
-    }
-    engine.step(active);
-    for (std::uint32_t lane = 0; lane < lanes; ++lane) ref[lane]->step(tx[lane]);
-  }
-
-  // Keep every third lane: 43 survivors → stride shrinks to 1 word.
-  std::vector<std::uint32_t> survivors;
-  for (std::uint32_t lane = 0; lane < lanes; lane += 3) survivors.push_back(lane);
-  engine.compact(survivors);
-  ASSERT_EQ(engine.lane_count(), survivors.size());
-  ASSERT_EQ(engine.lane_words(), 1u);
-
-  // Survivor state is intact under the new numbering…
-  for (std::uint32_t i = 0; i < engine.lane_count(); ++i) {
-    const BroadcastSession& old = *ref[survivors[i]];
-    ASSERT_EQ(engine.informed_count(i), old.informed_count());
-    ASSERT_EQ(engine.round(i), old.current_round());
-    const SessionView view = engine.view(i);
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      ASSERT_EQ(engine.informed(i, v), old.informed(v)) << "node " << v;
-      ASSERT_EQ(view.informed_round(v), old.informed_round(v)) << "node " << v;
-    }
-  }
-
-  // …and the compacted engine keeps advancing in lockstep.
-  std::vector<std::uint32_t> active_new;
-  for (std::uint32_t i = 0; i < engine.lane_count(); ++i) active_new.push_back(i);
-  for (int round = 0; round < 3; ++round) {
-    std::vector<std::vector<NodeId>> tx_new(engine.lane_count());
-    for (std::uint32_t i = 0; i < engine.lane_count(); ++i) {
-      BroadcastSession& old = *ref[survivors[i]];
-      for (NodeId v = 0; v < g.num_nodes(); ++v)
-        if (old.informed(v) && schedule_rng[survivors[i]].bernoulli(0.5))
-          tx_new[i].push_back(v);
-      engine.add_transmitters(i, tx_new[i]);
-    }
-    engine.step(active_new);
-    for (std::uint32_t i = 0; i < engine.lane_count(); ++i) {
-      const RoundStats& stats = ref[survivors[i]]->step(tx_new[i]);
-      ASSERT_EQ(engine.outcome(i).newly_informed, stats.newly_informed);
-      ASSERT_EQ(engine.outcome(i).collisions, stats.collisions);
-      ASSERT_EQ(engine.outcome(i).redundant, stats.wasted);
-      ASSERT_EQ(engine.informed_count(i), ref[survivors[i]]->informed_count());
-    }
-  }
+TEST(BatchEngineDeathTest, RejectsMoreLanesThanOneWord) {
+  const Graph g = path_graph(4);
+  const BatchEngine full(g, kMaxBatchLanes);
+  EXPECT_EQ(full.lane_count(), 64u);
+  EXPECT_DEATH(BatchEngine(g, kMaxBatchLanes + 1), "precondition");
 }
 
 TEST(BatchRunnerCostModel, LaneClampRespectsStateLimit) {
   Rng rng(11);
   const Graph small = generate_gnp({64, 0.1}, rng);
-  // A small graph fits thousands of lanes.
+  // A small graph fits a full lane word; wider requests clamp to it.
   EXPECT_EQ(batch_lanes_for(small, 64), 64u);
-  EXPECT_EQ(batch_lanes_for(small, 4096), 4096u);
+  EXPECT_EQ(batch_lanes_for(small, 4096), kMaxBatchLanes);
   // Degenerate requests never batch.
   EXPECT_EQ(batch_lanes_for(small, 1), 1u);
   EXPECT_EQ(batch_lanes_for(small, 0), 1u);
