@@ -289,26 +289,29 @@ ExperimentResult run_e7_lower_bounds(const ExperimentConfig& config) {
       std::uint32_t budget;
       std::unique_ptr<Protocol> (*make)(const std::vector<double>& probs);
     };
-    const auto ln_budget = static_cast<std::uint32_t>(40.0 * ln_n);
+    // Round budgets: the search's own 10·ln n for the certified schedule and
+    // flooding, 40·ln n for the randomized protocols, eight sweeps of
+    // round-robin's n-round cycle and a fixed 20000 for the selective family.
+    const auto short_budget = static_cast<std::uint32_t>(10.0 * ln_n);
+    const auto long_budget = static_cast<std::uint32_t>(40.0 * ln_n);
     const StressEntry entries[] = {
-        {"stress certified-schedule",
-         static_cast<std::uint32_t>(10.0 * ln_n),
+        {"stress certified-schedule", short_budget,
          [](const std::vector<double>& probs) -> std::unique_ptr<Protocol> {
            return std::make_unique<ObliviousSequenceProtocol>(probs);
          }},
-        {"stress adaptive-backoff", 0 /* ln_budget below */,
+        {"stress adaptive-backoff", long_budget,
          [](const std::vector<double>&) -> std::unique_ptr<Protocol> {
            return std::make_unique<AdaptiveBackoffProtocol>();
          }},
-        {"stress decay", 0,
+        {"stress decay", long_budget,
          [](const std::vector<double>&) -> std::unique_ptr<Protocol> {
            return std::make_unique<DecayProtocol>();
          }},
-        {"stress flooding", 0 /* 10 ln n below */,
+        {"stress flooding", short_budget,
          [](const std::vector<double>&) -> std::unique_ptr<Protocol> {
            return std::make_unique<FloodingProtocol>();
          }},
-        {"stress round-robin", 0 /* n*8 below */,
+        {"stress round-robin", hardest_n * 8,
          [](const std::vector<double>&) -> std::unique_ptr<Protocol> {
            return std::make_unique<RoundRobinProtocol>();
          }},
@@ -316,19 +319,13 @@ ExperimentResult run_e7_lower_bounds(const ExperimentConfig& config) {
          [](const std::vector<double>&) -> std::unique_ptr<Protocol> {
            return std::make_unique<SelectiveFamilyProtocol>();
          }},
-        {"stress uniform-gossip", 0,
+        {"stress uniform-gossip", long_budget,
          [](const std::vector<double>&) -> std::unique_ptr<Protocol> {
            return std::make_unique<UniformGossipProtocol>();
          }},
     };
 
     for (const StressEntry& entry : entries) {
-      std::uint32_t budget = entry.budget;
-      if (budget == 0) budget = ln_budget;
-      if (std::string(entry.name) == "stress flooding")
-        budget = static_cast<std::uint32_t>(10.0 * ln_n);
-      if (std::string(entry.name) == "stress round-robin")
-        budget = hardest_n * 8;
       struct StressTrial {
         double rounds = 0;
         double completed = 0;
@@ -341,10 +338,10 @@ ExperimentResult run_e7_lower_bounds(const ExperimentConfig& config) {
             const std::unique_ptr<Protocol> protocol =
                 entry.make(hardest_schedule);
             const BroadcastRun run = broadcast_with(
-                *protocol, ctx, instance.graph, source, rng, budget);
+                *protocol, ctx, instance.graph, source, rng, entry.budget);
             StressTrial t;
             t.rounds = static_cast<double>(run.completed ? run.rounds
-                                                         : budget + 1);
+                                                         : entry.budget + 1);
             t.completed = run.completed ? 1.0 : 0.0;
             return t;
           });
@@ -356,7 +353,7 @@ ExperimentResult run_e7_lower_bounds(const ExperimentConfig& config) {
       result.table.row()
           .cell(entry.name)
           .cell(static_cast<std::uint64_t>(hardest_n))
-          .cell(static_cast<std::uint64_t>(budget))
+          .cell(static_cast<std::uint64_t>(entry.budget))
           .cell(static_cast<std::uint64_t>(trials.size()))
           .cell(mean(rounds), 1)
           .cell(mean(completed), 3)

@@ -2,21 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "core/lower_bound.hpp"
-#include "sim/batch/batch_runner.hpp"
-#include "sim/runner.hpp"
-#include "sim/session.hpp"
+#include "sim/light_session.hpp"
 #include "util/assert.hpp"
 
 namespace radio {
 
 FixedSmallSetScheduleProtocol::FixedSmallSetScheduleProtocol(
-    std::shared_ptr<const SmallSetSchedule> schedule)
+    SmallSetSchedule schedule)
     : schedule_(std::move(schedule)) {
-  RADIO_EXPECTS(schedule_ != nullptr);
-  for (const SmallRoundSet& set : *schedule_) {
+  for (const SmallRoundSet& set : schedule_) {
     RADIO_EXPECTS(set.size >= 1 && set.size <= 2);
     if (set.size == 2) RADIO_EXPECTS(set.node[0] != set.node[1]);
   }
@@ -25,8 +23,8 @@ FixedSmallSetScheduleProtocol::FixedSmallSetScheduleProtocol(
 void FixedSmallSetScheduleProtocol::select_transmitters(
     std::uint32_t round, const SessionView& session, Rng&,
     std::vector<NodeId>& out) {
-  if (round == 0 || round > schedule_->size()) return;
-  const SmallRoundSet& set = (*schedule_)[round - 1];
+  if (round == 0 || round > schedule_.size()) return;
+  const SmallRoundSet& set = schedule_[round - 1];
   for (std::uint8_t i = 0; i < set.size; ++i) {
     const NodeId v = set.node[i];
     if (v < session.num_nodes() && session.informed(v))
@@ -59,23 +57,23 @@ bool better(const Fitness& a, const Fitness& b) {
 
 struct Evaluated {
   Fitness fitness;
-  std::uint64_t first_stream = 0;  ///< probe stream of this candidate's trial 0
-  std::vector<BroadcastRun> runs;
-  bool completed = false;  ///< every trial completed within budget
+  /// The deciding probe: the first incomplete trial, else the first trial
+  /// attaining the worst completion time. Complete iff every trial was.
+  std::optional<LightSession<Graph>> deciding;
 };
 
 /// The (1+λ) loop, generic over the genotype. Policy supplies:
 ///   using Genotype = ...;
+///   using Phenotype = ...;  // the Protocol that plays a Genotype, built from it
 ///   int trials_per_candidate() const;
 ///   std::vector<Genotype> seeds(Rng&) const;          // first generation
 ///   Genotype mutate(const Genotype&, Rng&) const;
-///   std::unique_ptr<Protocol> make_protocol(const Genotype&) const;
 ///   void record(AdversaryCertificate&, const Genotype&) const;
 ///
-/// Determinism: `rng` is consumed ONLY on the main thread (probe seed,
-/// seeding, mutation). Probe u of the whole search draws from
-/// Rng::for_stream(probe_seed, u) via run_broadcast_batch, so the entire
-/// trajectory is byte-identical for any lane width / thread count.
+/// Determinism: `rng` draws only the probe seed, the seeds and the
+/// mutations. Probe u of the whole search, counted over (candidate, trial)
+/// in order, draws from Rng::for_stream(probe_seed, u), so the entire
+/// trajectory is byte-identical at any thread count.
 template <typename Policy>
 GuidedSearchOutcome guided_search(const Graph& g, NodeId source,
                                   const ProtocolContext& ctx,
@@ -96,36 +94,28 @@ GuidedSearchOutcome guided_search(const Graph& g, NodeId source,
   std::uint64_t candidates_seen = 0;
   std::uint64_t candidates_completed = 0;
 
+  // A probe's completion time, fail_rounds when it never completed.
+  const auto rounds_of = [&](const LightSession<Graph>& probe) {
+    return probe.complete() ? probe.current_round() : fail_rounds;
+  };
+
   const auto evaluate = [&](const std::vector<Genotype>& candidates) {
-    const int units = static_cast<int>(candidates.size()) * tpc;
-    const std::uint64_t first = next_stream;
-    next_stream += static_cast<std::uint64_t>(units);
-    const ProtocolFactory factory = [&](int unit) {
-      return policy.make_protocol(
-          candidates[static_cast<std::size_t>(unit / tpc)]);
-    };
-    const std::vector<BroadcastRun> runs =
-        run_broadcast_batch(g, ctx, source, units, probe_seed, first, factory,
-                            params.round_budget, kMaxBatchLanes);
     std::vector<Evaluated> evals(candidates.size());
     for (std::size_t c = 0; c < candidates.size(); ++c) {
+      typename Policy::Phenotype protocol(candidates[c]);
       Evaluated& e = evals[c];
-      e.first_stream = first + c * static_cast<std::uint64_t>(tpc);
-      e.runs.assign(
-          runs.begin() + static_cast<std::ptrdiff_t>(c) * tpc,
-          runs.begin() + static_cast<std::ptrdiff_t>(c + 1) * tpc);
-      e.completed = true;
-      for (const BroadcastRun& run : e.runs) {
-        if (!run.completed) {
-          e.completed = false;
-          e.fitness.worst_rounds = fail_rounds;
-        } else if (e.fitness.worst_rounds != fail_rounds) {
-          e.fitness.worst_rounds = std::max(e.fitness.worst_rounds, run.rounds);
-        }
-        e.fitness.uninformed += n - static_cast<std::uint64_t>(run.informed);
+      for (int j = 0; j < tpc; ++j) {
+        Rng probe_rng = Rng::for_stream(probe_seed, next_stream++);
+        LightSession<Graph> run = run_probe(protocol, ctx, g, source,
+                                            probe_rng, params.round_budget);
+        e.fitness.uninformed +=
+            n - static_cast<std::uint64_t>(run.informed_count());
+        if (!e.deciding || rounds_of(run) > rounds_of(*e.deciding))
+          e.deciding = std::move(run);
       }
+      e.fitness.worst_rounds = rounds_of(*e.deciding);
       ++candidates_seen;
-      if (e.completed) ++candidates_completed;
+      if (e.deciding->complete()) ++candidates_completed;
     }
     return evals;
   };
@@ -162,58 +152,26 @@ GuidedSearchOutcome guided_search(const Graph& g, NodeId source,
     }
   }
 
-  // ---- Certificate: replay the incumbent's DECIDING trial solo and read the
-  // witness off the session. The deciding trial is the first incomplete one,
-  // else the first trial attaining the worst completion time. Solo replay
-  // with the identical stream reproduces the batched run exactly (batch ≡
-  // per-instance is the sim/batch determinism contract).
-  int deciding = 0;
-  std::uint32_t worst = 0;
-  for (int j = 0; j < tpc; ++j) {
-    if (!incumbent_eval.runs[static_cast<std::size_t>(j)].completed) {
-      deciding = j;
-      break;
-    }
-    const std::uint32_t r =
-        incumbent_eval.runs[static_cast<std::size_t>(j)].rounds;
-    if (r > worst) {
-      worst = r;
-      deciding = j;
-    }
-  }
-  const BroadcastRun& deciding_run =
-      incumbent_eval.runs[static_cast<std::size_t>(deciding)];
-
-  BroadcastSession session(g, source);
-  Rng replay_rng = Rng::for_stream(
-      probe_seed,
-      incumbent_eval.first_stream + static_cast<std::uint64_t>(deciding));
-  const std::unique_ptr<Protocol> protocol = policy.make_protocol(incumbent);
-  const BroadcastRun replay = run_protocol(*protocol, ctx, session, replay_rng,
-                                           params.round_budget);
-  RADIO_EXPECTS(replay.completed == deciding_run.completed);
-  RADIO_EXPECTS(replay.rounds == deciding_run.rounds);
-
+  // ---- Certificate: read the witness off the incumbent's deciding probe.
+  const LightSession<Graph>& deciding = *incumbent_eval.deciding;
   AdversaryCertificate cert;
   cert.rounds = incumbent_eval.fitness.worst_rounds;
-  cert.completed = incumbent_eval.completed;
+  cert.completed = deciding.complete();
   cert.probes = next_stream;
   cert.improvements = improvements;
-  if (session.complete()) {
+  if (cert.completed) {
     // Last node informed == the witness that pinned the completion time.
+    const SessionView view = deciding.view();
     cert.witness = source;
     cert.rounds_survived = 0;
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      const std::uint32_t round = session.informed_round(v);
-      if (round != kUnreachable && round > cert.rounds_survived) {
-        cert.rounds_survived = round;
+      if (view.informed_round(v) > cert.rounds_survived) {
+        cert.rounds_survived = view.informed_round(v);
         cert.witness = v;
       }
     }
   } else {
-    const std::vector<NodeId> uninformed = session.uninformed_nodes();
-    RADIO_EXPECTS(!uninformed.empty());
-    cert.witness = uninformed.front();
+    cert.witness = deciding.uninformed_nodes().front();
     cert.rounds_survived = params.round_budget;
   }
   policy.record(cert, incumbent);
@@ -233,6 +191,7 @@ GuidedSearchOutcome guided_search(const Graph& g, NodeId source,
 class ObliviousPolicy {
  public:
   using Genotype = std::vector<double>;
+  using Phenotype = ObliviousSequenceProtocol;
 
   ObliviousPolicy(const ProtocolContext& ctx, const GuidedSearchParams& params)
       : ctx_(ctx),
@@ -275,10 +234,6 @@ class ObliviousPolicy {
     return child;
   }
 
-  std::unique_ptr<Protocol> make_protocol(const Genotype& genes) const {
-    return std::make_unique<ObliviousSequenceProtocol>(genes);
-  }
-
   void record(AdversaryCertificate& cert, const Genotype& genes) const {
     cert.oblivious_probs = genes;
   }
@@ -297,7 +252,8 @@ class ObliviousPolicy {
 
 class SmallSetPolicy {
  public:
-  using Genotype = std::shared_ptr<const SmallSetSchedule>;
+  using Genotype = SmallSetSchedule;
+  using Phenotype = FixedSmallSetScheduleProtocol;
 
   SmallSetPolicy(const Graph& g, NodeId source,
                  const GuidedSearchParams& params)
@@ -308,30 +264,24 @@ class SmallSetPolicy {
 
   std::vector<Genotype> seeds(Rng& rng) const {
     std::vector<Genotype> seeds;
-    seeds.push_back(
-        std::make_shared<const SmallSetSchedule>(greedy_schedule()));
+    seeds.push_back(greedy_schedule());
     while (seeds.size() < static_cast<std::size_t>(params_.population)) {
-      SmallSetSchedule schedule(params_.round_budget);
+      Genotype schedule(params_.round_budget);
       for (SmallRoundSet& set : schedule) set = random_set(rng);
-      seeds.push_back(
-          std::make_shared<const SmallSetSchedule>(std::move(schedule)));
+      seeds.push_back(std::move(schedule));
     }
     return seeds;
   }
 
   Genotype mutate(const Genotype& parent, Rng& rng) const {
-    SmallSetSchedule child = *parent;
+    Genotype child = parent;
     for (SmallRoundSet& set : child)
       if (rng.bernoulli(kMutationRate)) set = random_set(rng);
-    return std::make_shared<const SmallSetSchedule>(std::move(child));
-  }
-
-  std::unique_ptr<Protocol> make_protocol(const Genotype& schedule) const {
-    return std::make_unique<FixedSmallSetScheduleProtocol>(schedule);
+    return child;
   }
 
   void record(AdversaryCertificate& cert, const Genotype& schedule) const {
-    cert.small_sets = *schedule;
+    cert.small_sets = schedule;
   }
 
  private:
@@ -341,7 +291,7 @@ class SmallSetPolicy {
   SmallSetSchedule greedy_schedule() const {
     SmallSetSchedule schedule;
     schedule.reserve(params_.round_budget);
-    BroadcastSession session(g_, source_);
+    LightSession<Graph> session(g_, source_);
     NodeId tx[1];
     for (std::uint32_t t = 0;
          t < params_.round_budget && !session.complete(); ++t) {

@@ -7,25 +7,22 @@
 // by drawing K random schedules and reporting the best — a noisy order
 // statistic that made E7's Thm-8 fit the weakest in the suite. This engine
 // replaces the estimate with a (1+λ) local search: keep one incumbent
-// schedule, spawn λ mutants per generation, evaluate every mutant's trials
-// as LANES of a single run_broadcast_batch call on the shared graph
-// (population-as-lanes, at the width sim/batch picks), and adopt a mutant
-// only when its *worst* trial strictly improves on the incumbent's. Probe u
-// always draws from Rng::for_stream(probe_seed, u), so the search
-// trajectory — and every number derived from it — is byte-identical for any
-// lane width and any thread count (the determinism contract in
-// sim/batch/batch_runner.hpp).
+// schedule, spawn λ mutants per generation, run every mutant's trials as
+// probes on the shared graph (run_probe, core/lower_bound.hpp, one
+// LightSession each), and adopt a mutant only when its *worst* trial
+// strictly improves on the incumbent's. Probe u always draws from
+// Rng::for_stream(probe_seed, u), so the search trajectory — and every
+// number derived from it — is byte-identical at any thread count.
 //
 // Each search emits a per-instance CERTIFICATE: the best schedule found, the
 // witness node that pinned its completion time (or stayed uninformed for the
-// whole budget), how many rounds that witness survived, and the probe count
-// spent — the constructive evidence behind the "no schedule we could find
-// beats Ω(ln n)" claim, replayable against every protocol in src/protocols/
-// (E7's stress rows).
+// whole budget), read off the deciding probe's session, how many rounds that
+// witness survived, and the probe count spent — the constructive evidence
+// behind the "no schedule we could find beats Ω(ln n)" claim, replayable
+// against every protocol in src/protocols/ (E7's stress rows).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -59,10 +56,7 @@ using SmallSetSchedule = std::vector<SmallRoundSet>;
 /// topology).
 class FixedSmallSetScheduleProtocol final : public Protocol {
  public:
-  /// `schedule` is shared, not copied: the batch factory builds one protocol
-  /// per lane probe and they all read the same immutable genotype.
-  explicit FixedSmallSetScheduleProtocol(
-      std::shared_ptr<const SmallSetSchedule> schedule);
+  explicit FixedSmallSetScheduleProtocol(SmallSetSchedule schedule);
 
   std::string name() const override { return "fixed-small-set"; }
   bool is_distributed() const override { return false; }
@@ -71,7 +65,7 @@ class FixedSmallSetScheduleProtocol final : public Protocol {
                            Rng& rng, std::vector<NodeId>& out) override;
 
  private:
-  std::shared_ptr<const SmallSetSchedule> schedule_;
+  SmallSetSchedule schedule_;
 };
 
 // ---------------------------------------------------------------------------

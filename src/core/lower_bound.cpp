@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <utility>
 
 #include "graph/bfs.hpp"
-#include "sim/batch/batch_runner.hpp"
-#include "sim/runner.hpp"
 #include "util/assert.hpp"
 
 namespace radio {
@@ -49,6 +47,23 @@ std::vector<double> theorem7_oblivious_sequence(const ProtocolContext& ctx,
   return probs;
 }
 
+LightSession<Graph> run_probe(Protocol& protocol, const ProtocolContext& ctx,
+                              const Graph& g, NodeId source, Rng& rng,
+                              std::uint32_t max_rounds) {
+  RADIO_EXPECTS(max_rounds > 0);
+  RADIO_EXPECTS(!protocol.wants_observations());
+  protocol.reset(ctx);
+  LightSession<Graph> session(g, source);
+  std::vector<NodeId> transmitters;
+  while (!session.complete() && session.current_round() < max_rounds) {
+    transmitters.clear();
+    protocol.select_transmitters(session.current_round() + 1, session.view(),
+                                 rng, transmitters);
+    session.step(transmitters);
+  }
+  return session;
+}
+
 namespace {
 
 std::vector<double> random_sequence(NodeId n, std::uint32_t budget, Rng& rng) {
@@ -81,35 +96,23 @@ ObliviousSearchOutcome search_oblivious_schedules(
   while (candidates.size() < static_cast<std::size_t>(params.num_candidates))
     candidates.push_back(random_sequence(ctx.n, params.round_budget, rng));
 
-  // Every (candidate, trial) probe is an independent broadcast on the SAME
-  // graph — exactly the shape the batched core amortizes. Probe u gets its
-  // own stream for_stream(probe_seed, u), so results are byte-identical
-  // whether the probes run one per engine or packed into lanes.
+  // Trial t of candidate c draws from for_stream(probe_seed, c·tpc + t), so
+  // stopping at a candidate's first incomplete trial shifts no later stream.
   const std::uint64_t probe_seed = rng();
-  const int tpc = params.trials_per_candidate;
-  const int units = static_cast<int>(candidates.size()) * tpc;
-  const ProtocolFactory factory = [&candidates, tpc](int unit) {
-    return std::make_unique<ObliviousSequenceProtocol>(
-        candidates[static_cast<std::size_t>(unit / tpc)]);
-  };
-  const std::vector<BroadcastRun> runs =
-      run_broadcast_batch(g, ctx, source, units, probe_seed, 0, factory,
-                          params.round_budget, kMaxBatchLanes);
-
+  const auto tpc = static_cast<std::uint64_t>(params.trials_per_candidate);
   ObliviousSearchOutcome outcome;
   outcome.best_rounds = params.round_budget + 1;
   int completed = 0;
   for (std::size_t c = 0; c < candidates.size(); ++c) {
+    ObliviousSequenceProtocol protocol(std::move(candidates[c]));
     std::uint32_t worst_trial = 0;
     bool all_completed = true;
-    for (int trial = 0; trial < tpc; ++trial) {
-      const BroadcastRun& run = runs[c * static_cast<std::size_t>(tpc) +
-                                     static_cast<std::size_t>(trial)];
-      if (!run.completed) {
-        all_completed = false;
-        break;
-      }
-      worst_trial = std::max(worst_trial, run.rounds);
+    for (std::uint64_t trial = 0; trial < tpc && all_completed; ++trial) {
+      Rng probe_rng = Rng::for_stream(probe_seed, c * tpc + trial);
+      const LightSession<Graph> run = run_probe(
+          protocol, ctx, g, source, probe_rng, params.round_budget);
+      all_completed = run.complete();
+      worst_trial = std::max(worst_trial, run.current_round());
     }
     if (all_completed) {
       ++completed;

@@ -4,16 +4,18 @@
 // can condition only on (n, p, t), i.e. the algorithm is a per-round
 // transmit-probability sequence q_1, q_2, …. This header holds that
 // protocol, the paper's own Theorem-7 schedule written as such a sequence,
-// and a blind best-of-K search over random sequences. E7 runs the guided
-// searches of core/adversary.hpp for both Theorem 8 and Theorem 6; the
-// blind search stays as the baseline the guided one must match or beat at
-// an equal probe budget.
+// a blind best-of-K search over random sequences, and run_probe, the loop
+// every search probe runs on. E7 runs the guided searches of
+// core/adversary.hpp for both Theorem 8 and Theorem 6; the blind search
+// stays as the baseline the guided one must match or beat at an equal probe
+// budget.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "sim/light_session.hpp"
 #include "sim/protocol.hpp"
 #include "util/rng.hpp"
 
@@ -68,6 +70,18 @@ std::vector<double> theorem7_oblivious_sequence(const ProtocolContext& ctx,
 ObliviousSearchOutcome search_oblivious_schedules(
     const Graph& g, NodeId source, const ProtocolContext& ctx,
     const ObliviousSearchParams& params, Rng& rng);
+
+/// One search probe: resets `protocol`, then steps a LightSession on `g` from
+/// `source` while it is incomplete and under `max_rounds` rounds. That is
+/// run_protocol's loop (sim/runner.hpp) without per-round history,
+/// observations or sender lookup, so the protocol must transmit only
+/// informed nodes (LightSession asserts it every round) and want no
+/// observations. Returns the finished session: completion, rounds, informed
+/// count and every node's informed round, as run_protocol on a
+/// BroadcastSession would leave them for the same stream.
+LightSession<Graph> run_probe(Protocol& protocol, const ProtocolContext& ctx,
+                              const Graph& g, NodeId source, Rng& rng,
+                              std::uint32_t max_rounds);
 
 /// Diameter is an unconditional lower bound on any broadcast; exposed here
 /// so experiment tables print it next to adversary outcomes.

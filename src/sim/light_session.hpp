@@ -4,9 +4,11 @@
 // BroadcastSession (sim/session.hpp) adds faults, losses, observations and
 // per-round statistics on a materialized Graph. LightSession is the mode for
 // callers that read none of those: the centralized builder simulating its own
-// schedule (core/centralized.hpp) and the streaming session, one per
-// in-flight message (sim/stream/stream_session.hpp). Both only ever schedule
-// INFORMED transmitters (asserted per step) on a fault-free channel, so
+// schedule (core/centralized.hpp), every probe of the schedule searches
+// (run_probe, core/lower_bound.hpp) and the streaming session, one per
+// in-flight message (sim/stream/stream_session.hpp). All of them only ever
+// schedule INFORMED transmitters (asserted per step) on a fault-free channel,
+// so
 // RadioEngine's delivery rule — a listener receives iff it is uninformed,
 // not transmitting, and has exactly one transmitting neighbor — collapses to
 //

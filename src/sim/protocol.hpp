@@ -49,9 +49,10 @@ class Protocol {
   /// after each reset(), so a stream slot passes its message's local round.
   /// Between resets every view shows that one broadcast: its informed set
   /// only grows, and a node's informed round never changes. The view is the
-  /// per-node knowledge surface; BroadcastSession converts implicitly, the
-  /// batch core (sim/batch) builds one per lane per round, a stream slot
-  /// (sim/stream) passes its current message's view, and a gossip session's
+  /// per-node knowledge surface; BroadcastSession converts implicitly,
+  /// LightSession hands one out per round (the builder, every search probe),
+  /// a stream slot (sim/stream) passes its current message's view, the batch
+  /// core (sim/batch) builds one per lane per round, and a gossip session's
   /// view shows every node informed.
   virtual void select_transmitters(std::uint32_t round,
                                    const SessionView& session, Rng& rng,
@@ -66,7 +67,7 @@ class Protocol {
 };
 
 /// Builds one protocol instance. The argument is the caller's unit index:
-/// the trial for the batch scheduler (sim/batch), the pipeline slot for the
+/// the trial for run_broadcast_batch (sim/batch), the pipeline slot for the
 /// stream session (sim/stream). Parallel trials may call one factory from
 /// several threads at once, so it must be safe to call concurrently.
 using ProtocolFactory = std::function<std::unique_ptr<Protocol>(int unit)>;

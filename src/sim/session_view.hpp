@@ -2,11 +2,13 @@
 // surface a Protocol may consult when selecting transmitters.
 //
 // Protocols used to take `const BroadcastSession&`; narrowing the parameter
-// to this view is what lets the batched simulation core (sim/batch) drive
-// the SAME protocol implementations lane by lane without materializing a
-// full session per lane. The view is a fat pointer (graph + informed set +
-// informed-round array), cheap to construct per round; BroadcastSession
-// converts implicitly so existing call sites compile unchanged.
+// to this view is what lets every session shape drive the SAME protocol
+// implementations: LightSession (the centralized builder, every search
+// probe, each stream message) and the batched core's lanes (sim/batch) hand
+// out views without a full BroadcastSession behind them. The view is a fat
+// pointer (graph + informed set + informed-round array), cheap to construct
+// per round; BroadcastSession converts implicitly so existing call sites
+// compile unchanged.
 //
 // Protocols read the node count through num_nodes(). graph() exists only on
 // views of sessions over a materialized Graph; LightSession on another

@@ -1,13 +1,13 @@
 // Deterministic, stream-splittable pseudo-random number generation.
 //
-// Monte-Carlo trials run in parallel (one OpenMP task per trial, or one
-// batch LANE per trial in the sim/batch core), so every trial derives its
-// own generator from (base_seed, trial_index) via SplitMix64 — never from
-// the thread id, the lane id, or a shared generator mid-sweep. Results are
-// therefore bit-identical regardless of thread count AND of batch lane
-// width: trial t draws the exact same sequence whether it runs solo, packed
-// 8 lanes wide, or 64 lanes wide (pinned by
-// tests/analysis/test_batch_determinism.cpp).
+// Monte-Carlo trials run in parallel (one OpenMP task per trial), so every
+// trial derives its own generator from (base_seed, trial_index) via
+// SplitMix64 — never from the thread id or a shared generator mid-sweep;
+// each probe of a schedule search and each lane of the sim/batch core
+// likewise draws from a stream of its own. Results are therefore
+// bit-identical regardless of thread count AND of batch lane width: a batch
+// trial draws the exact same sequence whether it runs solo or packed 64
+// lanes wide (pinned by tests/analysis/test_batch_determinism.cpp).
 //
 // Xoshiro256** is the workhorse generator: 256-bit state, passes BigCrush,
 // ~1 ns per draw, and satisfies UniformRandomBitGenerator so it composes with

@@ -83,7 +83,7 @@ inline constexpr std::uint64_t kAllExperimentIds[] = {
 /// Sub-stream tag bits for a StreamSession's two generators (sim/stream).
 /// Trial indices are small integers, so setting a high bit keeps
 /// (seed, tag | stream) disjoint from every (seed, trial) stream that
-/// run_trials or the batch scheduler derives.
+/// run_trials or run_broadcast_batch derives.
 inline constexpr std::uint64_t kArrivalStreamTag = std::uint64_t{1} << 62;
 inline constexpr std::uint64_t kProtocolStreamTag = std::uint64_t{1} << 63;
 

@@ -86,11 +86,10 @@ TEST_F(ThreadDeterminism, RepeatedRunsAreIdenticalAtSameThreadCount) {
   EXPECT_EQ(a.metrics, b.metrics);
 }
 
-// E7's schedule searches advance their probes as lanes of the batched
-// core inside each parallel trial, so its quick table is the sharpest
-// end-to-end probe of the sim/batch contract under threads: byte-identical
-// CSV and metrics at any thread count. (Lane widths are pinned by
-// GuidedSearchFixture and BatchDeterminism.)
+// E7 runs whole schedule searches, each probe on its own stream, inside
+// every parallel trial, so its quick table is a sharp end-to-end probe of
+// the per-trial stream contract under threads: byte-identical CSV and
+// metrics at any thread count.
 TEST_F(ThreadDeterminism, E7QuickIsByteIdenticalAcrossThreadCounts) {
   const RunArtifacts serial = run_quick("E7", 1);
   const RunArtifacts parallel = run_quick("E7", 4);

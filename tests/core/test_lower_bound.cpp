@@ -1,12 +1,15 @@
-// Lower-bound machinery: oblivious sequence protocol, adversary searches,
-// Theorem 6 / 8 shape checks on small instances.
+// Lower-bound machinery: oblivious sequence protocol, the search probe loop,
+// adversary searches, Theorem 6 / 8 shape checks on small instances.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "analysis/workload.hpp"
 #include "core/adversary.hpp"
 #include "core/lower_bound.hpp"
+#include "sim/channel_kernel.hpp"
 #include "sim/runner.hpp"
 
 namespace radio {
@@ -59,6 +62,123 @@ TEST(ObliviousSequence, OnlyInformedTransmit) {
 TEST(ObliviousSequenceDeathTest, RejectsEmptyOrInvalid) {
   EXPECT_DEATH(ObliviousSequenceProtocol({}), "precondition");
   EXPECT_DEATH(ObliviousSequenceProtocol({0.5, 1.5}), "precondition");
+}
+
+// run_probe is run_protocol's loop on a LightSession. Each probe must leave
+// what run_protocol leaves on a BroadcastSession fed a copy of the same Rng:
+// completion, rounds, informed count and every node's informed round, hence
+// the same certificate witness.
+
+/// Forwards to `inner` and checks the Protocol contract that rounds count
+/// from 1 after each reset(), so a probe loop that skips reset() fails.
+class RoundContract final : public Protocol {
+ public:
+  explicit RoundContract(Protocol& inner) : inner_(inner) {}
+
+  std::string name() const override { return inner_.name(); }
+  bool is_distributed() const override { return inner_.is_distributed(); }
+  void reset(const ProtocolContext& ctx) override {
+    inner_.reset(ctx);
+    next_round_ = 1;
+  }
+  void select_transmitters(std::uint32_t round, const SessionView& session,
+                           Rng& rng, std::vector<NodeId>& out) override {
+    EXPECT_EQ(round, next_round_++) << "round numbers restart at reset()";
+    inner_.select_transmitters(round, session, rng, out);
+  }
+
+ private:
+  Protocol& inner_;
+  std::uint32_t next_round_ = 0;  ///< 0 until the first reset()
+};
+
+/// One protocol instance over several streams, as a search reuses one per
+/// candidate across its trials.
+void expect_probe_matches_engine(Protocol& protocol,
+                                 const ProtocolContext& ctx, const Graph& g,
+                                 NodeId source, std::uint32_t budget) {
+  RoundContract checked(protocol);
+  for (std::uint64_t stream = 0; stream < 4; ++stream) {
+    SCOPED_TRACE("budget " + std::to_string(budget) + ", stream " +
+                 std::to_string(stream));
+    Rng probe_rng = Rng::for_stream(31, stream);
+    Rng engine_rng = probe_rng;
+    const LightSession<Graph> probe =
+        run_probe(checked, ctx, g, source, probe_rng, budget);
+    BroadcastSession session(g, source);
+    const BroadcastRun run =
+        run_protocol(checked, ctx, session, engine_rng, budget);
+    EXPECT_EQ(probe.complete(), run.completed);
+    EXPECT_EQ(probe.current_round(), run.rounds);
+    EXPECT_EQ(probe.informed_count(), run.informed);
+    const SessionView view = probe.view();
+    for (NodeId v = 0; v < g.num_nodes(); ++v)
+      ASSERT_EQ(view.informed_round(v), session.informed_round(v))
+          << "node " << v;
+  }
+}
+
+/// Runs the Theorem 7 sequence, a random oblivious sequence, the small-set
+/// schedule a guided search certifies and a random small-set schedule, at a
+/// budget too short to complete and at 10·ln n.
+void expect_probes_match_engine(const BroadcastInstance& instance, Rng& rng) {
+  const Graph& g = instance.graph;
+  const NodeId n = g.num_nodes();
+  const ProtocolContext ctx = context_for(instance);
+  const NodeId source = pick_source(g, rng);
+  const auto generous =
+      static_cast<std::uint32_t>(10.0 * std::log(static_cast<double>(n)));
+  for (const std::uint32_t budget : {2u, generous}) {
+    ObliviousSequenceProtocol theorem7(
+        theorem7_oblivious_sequence(ctx, budget));
+    expect_probe_matches_engine(theorem7, ctx, g, source, budget);
+
+    std::vector<double> probs(budget);
+    for (double& q : probs)
+      q = std::exp(std::log(1.0 / static_cast<double>(n)) * rng.uniform());
+    ObliviousSequenceProtocol random_sequence(probs);
+    expect_probe_matches_engine(random_sequence, ctx, g, source, budget);
+
+    GuidedSearchParams search;
+    search.round_budget = budget;
+    search.generations = 2;
+    search.population = 4;
+    FixedSmallSetScheduleProtocol certified(
+        guided_small_set_search(g, source, search, rng).certificate.small_sets);
+    expect_probe_matches_engine(certified, ctx, g, source, budget);
+
+    SmallSetSchedule sets(budget);
+    for (SmallRoundSet& set : sets) {
+      set.size = 2;
+      set.node[0] = static_cast<NodeId>(rng.uniform_below(n));
+      do {
+        set.node[1] = static_cast<NodeId>(rng.uniform_below(n));
+      } while (set.node[1] == set.node[0]);
+    }
+    FixedSmallSetScheduleProtocol random_sets(sets);
+    expect_probe_matches_engine(random_sets, ctx, g, source, budget);
+  }
+}
+
+TEST(ProbeLoop, MatchesTheEngineOnSparseGnp) {
+  Rng rng(12);
+  const NodeId n = 512;
+  const double ln_n = std::log(static_cast<double>(n));
+  const BroadcastInstance instance =
+      make_broadcast_instance(GnpParams::with_degree(n, ln_n * ln_n), rng);
+  expect_probes_match_engine(instance, rng);
+}
+
+TEST(ProbeLoop, MatchesTheEngineOnTheRowFold) {
+  Rng rng(13);
+  const BroadcastInstance instance =
+      make_broadcast_instance(GnpParams{128, 0.5}, rng);
+  // A lone transmitter already takes the row fold here, and each further
+  // one only tips the cost model further toward it.
+  RoundFold fold(instance.graph.num_nodes());
+  const NodeId lone[] = {0};
+  ASSERT_EQ(fold.fold(instance.graph, lone), RoundPath::kDense);
+  expect_probes_match_engine(instance, rng);
 }
 
 TEST(ObliviousSearch, FindsCompletionWithGenerousBudget) {

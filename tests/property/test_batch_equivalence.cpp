@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,6 +26,13 @@ struct Scenario {
   std::uint32_t lanes;
   int rounds;
 };
+
+// Field by field, so neither gtest's output nor the ctest names that
+// gtest_discover_tests derives from it carry the struct's padding bytes.
+void PrintTo(const Scenario& s, std::ostream* os) {
+  *os << "n=" << s.n << " p=" << s.p << " lanes=" << s.lanes
+      << " rounds=" << s.rounds;
+}
 
 /// Drives `lanes` batch lanes and `lanes` reference sessions in lockstep
 /// with identical randomized transmitter schedules and checks outcome

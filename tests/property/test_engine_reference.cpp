@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -89,6 +90,13 @@ struct Scenario {
   double informed_fraction;
   double tx_fraction;
 };
+
+// Field by field, so neither gtest's output nor the ctest names that
+// gtest_discover_tests derives from it carry the struct's padding bytes.
+void PrintTo(const Scenario& s, std::ostream* os) {
+  *os << "n=" << s.n << " p=" << s.p << " informed=" << s.informed_fraction
+      << " tx=" << s.tx_fraction;
+}
 
 class EngineEquivalence : public ::testing::TestWithParam<Scenario> {};
 
