@@ -8,8 +8,9 @@
 //   build/bench/bench_layers --benchmark_format=json > layers.json
 //
 // `scripts/bench_report.py --layers layers.json` folds the graph-generation
-// benches (its GEN_BENCH_PATHS) and the batch sweep into a BENCH_run.json
-// entry; scripts/ci.sh checks that those names stay registered.
+// benches (its GEN_BENCH_PATHS), the traversal benches (TRAVERSAL_BENCHES)
+// and the batch sweep into a BENCH_run.json entry; scripts/ci.sh checks that
+// those names stay registered.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -23,8 +24,10 @@
 #include "core/centralized.hpp"
 #include "core/distributed.hpp"
 #include "core/layer_probe.hpp"
+#include "core/lower_bound.hpp"
 #include "gossip/gossip_session.hpp"
 #include "graph/bfs.hpp"
+#include "graph/components.hpp"
 #include "graph/covering.hpp"
 #include "graph/implicit_gnp.hpp"
 #include "graph/random_graph.hpp"
@@ -42,6 +45,17 @@ namespace {
 radio::GnpParams ln2_params(radio::NodeId n) {
   const double ln_n = std::log(static_cast<double>(n));
   return radio::GnpParams::with_degree(n, ln_n * ln_n);
+}
+
+/// Iteration k of a bench that draws per iteration (a build, a broadcast, a
+/// search, a graph) seeds it from stream k mod kDrawCycle of kDrawSeed, so
+/// every run times the same fixed list of draws whatever iteration count
+/// google-benchmark picks.
+constexpr std::uint64_t kDrawSeed = 20261019;
+constexpr std::uint64_t kDrawCycle = 16;
+
+radio::Rng next_draw(std::uint64_t& k) {
+  return radio::Rng::for_stream(kDrawSeed, k++ % kDrawCycle);
 }
 
 /// Each node independently with probability q, in id order.
@@ -234,6 +248,30 @@ void BM_BfsLayers(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_BfsLayers)->Arg(1 << 12)->Arg(1 << 14)->Arg(1 << 16);
+
+// The connectivity test every make_broadcast_instance runs, over the
+// kDrawCycle graphs of the cycled draw list (drawn before timing).
+void BM_IsConnected(benchmark::State& state) {
+  const auto n = static_cast<radio::NodeId>(state.range(0));
+  std::vector<radio::Graph> graphs;
+  for (std::uint64_t k = 0; graphs.size() < kDrawCycle;) {
+    radio::Rng rng = next_draw(k);
+    graphs.push_back(radio::generate_gnp(ln2_params(n), rng));
+  }
+  double edges = 0.0;
+  std::uint64_t k = 0;
+  for (auto _ : state) {
+    const radio::Graph& g = graphs[k++ % kDrawCycle];
+    benchmark::DoNotOptimize(radio::is_connected(g));
+    edges += static_cast<double>(g.num_edges());
+  }
+  state.counters["edges_per_s"] =
+      benchmark::Counter(edges, benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_IsConnected)
+    ->Arg(1 << 12)
+    ->Arg(1 << 15)
+    ->Unit(benchmark::kMillisecond);
 
 // The Lemma-4 constructions (E6) on n = 2^14: X is the first 60% of the
 // nodes, Y the next |Y| = range(0).
@@ -524,16 +562,6 @@ BENCHMARK(BM_BatchSweep)
 namespace core_layer {
 namespace {
 
-/// Iteration k of a core bench seeds its build, broadcast or search from
-/// stream k mod kDrawCycle of kDrawSeed, so every run times the same fixed
-/// list of draws whatever iteration count google-benchmark picks.
-constexpr std::uint64_t kDrawSeed = 20261019;
-constexpr std::uint64_t kDrawCycle = 16;
-
-radio::Rng next_draw(std::uint64_t& k) {
-  return radio::Rng::for_stream(kDrawSeed, k++ % kDrawCycle);
-}
-
 /// One Theorem-5 schedule build (E1).
 void BM_BuildCentralizedSchedule(benchmark::State& state) {
   const auto n = static_cast<radio::NodeId>(state.range(0));
@@ -701,6 +729,36 @@ void BM_SmallSetAdversary(benchmark::State& state) {
   state.counters["population"] = static_cast<double>(search.population);
 }
 BENCHMARK(BM_SmallSetAdversary)->Arg(8)->Arg(16);
+
+/// One LightSession broadcast: the Theorem-7 schedule as an oblivious
+/// sequence through run_probe, E7's probe loop.
+void BM_LightSessionBroadcast(benchmark::State& state) {
+  const auto n = static_cast<radio::NodeId>(state.range(0));
+  const double ln_n = std::log(static_cast<double>(n));
+  radio::Rng rng(53);
+  const radio::BroadcastInstance instance =
+      radio::make_broadcast_instance(ln2_params(n), rng);
+  const radio::ProtocolContext ctx = radio::context_for(instance);
+  const auto budget = static_cast<std::uint32_t>(60.0 * ln_n);
+  radio::ObliviousSequenceProtocol protocol(
+      radio::theorem7_oblivious_sequence(ctx, budget));
+  double rounds = 0.0;
+  std::uint64_t k = 0;
+  for (auto _ : state) {
+    radio::Rng probe_rng = next_draw(k);
+    const radio::LightSession<radio::Graph> run = radio::run_probe(
+        protocol, ctx, instance.graph, 0, probe_rng, budget);
+    rounds = run.current_round();
+    benchmark::DoNotOptimize(run.informed_count());
+  }
+  state.counters["rounds"] = rounds;
+  state.counters["trials_per_s"] = benchmark::Counter(
+      1.0, benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_LightSessionBroadcast)
+    ->Arg(1 << 12)
+    ->Arg(1 << 15)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace core_layer

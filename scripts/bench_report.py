@@ -17,13 +17,16 @@ With ``--layers LAYERS_JSON``, the output of
 
   bench/bench_layers --benchmark_format=json --benchmark_out=LAYERS_JSON
 
-the entry additionally records whichever of these two tables the dump
-holds (it is an error when it holds neither):
+the entry additionally records whichever of these three tables the dump
+holds (it is an error when it holds none):
 
   * ``graph_gen``: {path, n, ms, edges/sec} rows — generation throughput of
     the CSR and bitmap producers at d = n^0.75, of the auto cost model at
     d = ln² n (path ``auto``), plus the implicit backend's index-build time
     vs n;
+  * ``traversal``: {bench, n, ms, rate, unit} rows — the direction-
+    optimizing traversals at d = ln² n: ``is_connected`` in edges/sec and a
+    LightSession broadcast (E7's probe loop) in trials/sec;
   * ``batch_sweep``: {n, lanes, trials/sec both ways, speedup} rows — the
     sim/batch instance-parallel core against the per-instance path.
 
@@ -307,20 +310,53 @@ def gen_sweep_rows(doc: dict) -> list[dict]:
     return sorted(rows, key=lambda r: (r["path"], r["n"]))
 
 
+# Traversal benches and the work-normalised counter each one reports.
+TRAVERSAL_BENCHES = {
+    "BM_IsConnected": "edges_per_s",
+    "BM_LightSessionBroadcast": "trials_per_s",
+}
+
+
+def traversal_rows(doc: dict) -> list[dict]:
+    """Extracts {bench, n, ms, rate, unit} rows of the TRAVERSAL_BENCHES from
+    a google-benchmark JSON dump."""
+    rows = []
+    for bench in doc.get("benchmarks", []):
+        parts = bench.get("name", "").split("/")
+        if len(parts) != 2 or parts[0] not in TRAVERSAL_BENCHES:
+            continue
+        unit = TRAVERSAL_BENCHES[parts[0]]
+        rate = bench.get(unit)
+        real_time = bench.get("real_time")
+        if not isinstance(rate, (int, float)) or \
+                not isinstance(real_time, (int, float)):
+            continue
+        rows.append({
+            "bench": parts[0],
+            "n": int(parts[1]),
+            "ms": round(float(real_time), 3),  # benchmark unit is ms
+            "rate": round(float(rate), 2),
+            "unit": unit,
+        })
+    return sorted(rows, key=lambda r: (r["bench"], r["n"]))
+
+
 def layer_tables(layers_json: pathlib.Path) -> dict[str, list[dict]]:
-    """The graph_gen and batch_sweep tables a bench_layers JSON dump holds,
-    keyed by their BENCH_run.json entry names; an error when it holds
-    neither."""
+    """The graph_gen, traversal and batch_sweep tables a bench_layers JSON
+    dump holds, keyed by their BENCH_run.json entry names; an error when it
+    holds none."""
     try:
         doc = json.loads(layers_json.read_text())
     except json.JSONDecodeError as err:
         raise SystemExit(f"error: {layers_json} is not valid JSON: {err}")
     tables = {"batch_sweep": batch_sweep_rows(doc),
-              "graph_gen": gen_sweep_rows(doc)}
+              "graph_gen": gen_sweep_rows(doc),
+              "traversal": traversal_rows(doc)}
     tables = {name: rows for name, rows in tables.items() if rows}
     if not tables:
         raise SystemExit(
-            f"error: {layers_json} has neither {' / '.join(GEN_BENCH_PATHS)}"
+            f"error: {layers_json} has no"
+            f" {' / '.join([*GEN_BENCH_PATHS, *TRAVERSAL_BENCHES])}"
             " entries nor pairable BM_BatchSweep / BM_PerInstanceSweep"
             " entries")
     return tables
@@ -354,8 +390,8 @@ def main(argv: list[str]) -> int:
                         help="append a trajectory entry to this file")
     parser.add_argument("--layers", type=pathlib.Path,
                         help="bench_layers --benchmark_format=json output"
-                             " whose graph_gen and batch_sweep tables to"
-                             " fold into the entry")
+                             " whose graph_gen, traversal and batch_sweep"
+                             " tables to fold into the entry")
     args = parser.parse_args(argv)
 
     if not args.out_dir.is_dir():

@@ -113,18 +113,20 @@ if [[ "$status" != 2 ]]; then
 fi
 
 # bench_layers must keep registering every benchmark bench_report.py
-# --layers folds into BENCH_run.json (its GEN_BENCH_PATHS keys and the batch
-# sweep pair), or those tables would silently drop out. Listing suffices:
+# --layers folds into BENCH_run.json (its GEN_BENCH_PATHS and
+# TRAVERSAL_BENCHES keys and the batch sweep pair), or those tables would
+# silently drop out. Listing suffices:
 # the sweep itself takes about 30 s even at --benchmark_min_time=0.01.
 "$BUILD_DIR/bench/bench_layers" --benchmark_list_tests=true \
   > "$SMOKE_DIR/layers.txt"
 python3 - "$SMOKE_DIR/layers.txt" <<'PY'
 import pathlib, sys
 sys.path.insert(0, "scripts")
-from bench_report import GEN_BENCH_PATHS
+from bench_report import GEN_BENCH_PATHS, TRAVERSAL_BENCHES
 listed = {name.split("/")[0]
           for name in pathlib.Path(sys.argv[1]).read_text().split()}
-folded = set(GEN_BENCH_PATHS) | {"BM_BatchSweep", "BM_PerInstanceSweep"}
+folded = (set(GEN_BENCH_PATHS) | set(TRAVERSAL_BENCHES)
+          | {"BM_BatchSweep", "BM_PerInstanceSweep"})
 missing = sorted(folded - listed)
 if missing:
     sys.exit(f"ci: bench_layers does not register {missing}")

@@ -113,8 +113,9 @@ inline std::vector<NodeId> sample_subset(std::span<const NodeId> candidates,
   out.reserve(static_cast<std::size_t>(
                   rate * static_cast<double>(candidates.size())) +
               8);
+  const BernoulliDraw selected(rate);
   for (NodeId v : candidates)
-    if (rng.bernoulli(rate)) out.push_back(v);
+    if (selected(rng)) out.push_back(v);
   return out;
 }
 

@@ -43,9 +43,9 @@ double ElsasserGasieniecBroadcast::transmit_probability(
 void ElsasserGasieniecBroadcast::select_transmitters(
     std::uint32_t round, const SessionView& session, Rng& rng,
     std::vector<NodeId>& out) {
-  const double prob = transmit_probability(round);
+  const BernoulliDraw selected(transmit_probability(round));
   const auto draw = [&](NodeId v) {
-    if (prob >= 1.0 || rng.bernoulli(prob)) out.push_back(v);
+    if (selected(rng)) out.push_back(v);
   };
   if (round > switch_round_ && !options_.tail_includes_late_informed) {
     // The paper's tail: only nodes informed by the end of round D transmit.

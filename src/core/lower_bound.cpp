@@ -22,8 +22,9 @@ void ObliviousSequenceProtocol::select_transmitters(
   const double q = round <= probabilities_.size()
                        ? probabilities_[round - 1]
                        : probabilities_.back();
+  const BernoulliDraw selected(q);
   session.informed_set().for_each_set([&](std::size_t v) {
-    if (q >= 1.0 || rng.bernoulli(q)) out.push_back(static_cast<NodeId>(v));
+    if (selected(rng)) out.push_back(static_cast<NodeId>(v));
   });
 }
 

@@ -7,9 +7,16 @@
 // read surface those algorithms share:
 //
 //   num_nodes()  — node count,
+//   num_edges()  — undirected edge count (2m seeds the Σ deg bookkeeping of
+//                  the direction-optimizing traversals),
 //   degree(v)    — neighborhood size,
-//   neighbors(v) — the sorted neighborhood as a contiguous span,
+//   neighbors(v) — the neighborhood as a contiguous span, in ASCENDING id
+//                  order,
 //   has_edge(u,v)— membership test.
+//
+// The ascending order is a contract, not a convenience: bfs_layers'
+// bottom-up step (graph/bfs.hpp) reproduces the order in which a top-down
+// step appends a layer, (parent rank, id), only because every list ascends.
 //
 // Two models ship today: the CSR/bitmap-backed `Graph` (graph.hpp) and the
 // on-demand `ImplicitGnp` sampler (implicit_gnp.hpp). Both return stable
@@ -36,6 +43,7 @@ namespace radio {
 template <class G>
 concept GraphBackend = requires(const G& g, NodeId u, NodeId v) {
   { g.num_nodes() } -> std::same_as<NodeId>;
+  { g.num_edges() } -> std::same_as<EdgeCount>;
   { g.degree(v) } -> std::same_as<NodeId>;
   { g.neighbors(v) } -> std::convertible_to<std::span<const NodeId>>;
   { g.has_edge(u, v) } -> std::same_as<bool>;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/assert.hpp"
+#include "util/bitset.hpp"
 
 namespace radio {
 
@@ -39,8 +40,49 @@ Components connected_components(const Graph& g) {
 }
 
 bool is_connected(const Graph& g) {
-  if (g.num_nodes() <= 1) return true;
-  return connected_components(g).count() == 1;
+  const NodeId n = g.num_nodes();
+  if (n <= 1) return true;
+  // Reachability from node 0, direction-optimizing: a step expands the
+  // frontier top-down (Σ deg(frontier) touches), or lets every unreached
+  // node look for any reached neighbor, stopping at the first. That sweep
+  // costs the O(n) scan plus, per unreached node, the neighbors it reads
+  // before its first reached one: about n / reached in a random graph, and
+  // never more than its degree. Only the count matters, so a node reached
+  // early in a sweep may already serve later ones.
+  Bitset reached(n);
+  reached.set(0);
+  std::size_t count = 1;
+  std::vector<NodeId> frontier{0};
+  std::vector<NodeId> next;
+  EdgeCount frontier_degrees = g.degree(0);
+  EdgeCount unreached_degrees = 2 * g.num_edges() - frontier_degrees;
+  while (!frontier.empty() && count < n) {
+    next.clear();
+    const EdgeCount sweep =
+        std::min<EdgeCount>(unreached_degrees, (n - count) * (n / count)) + n;
+    if (frontier_degrees > sweep) {
+      for (NodeId w = 0; w < n; ++w) {
+        if (reached.test(w)) continue;
+        for (NodeId v : g.neighbors(w)) {
+          if (reached.test(v)) {
+            reached.set(w);
+            next.push_back(w);
+            break;
+          }
+        }
+      }
+    } else {
+      for (NodeId v : frontier)
+        for (NodeId w : g.neighbors(v))
+          if (reached.set_if_clear(w)) next.push_back(w);
+    }
+    count += next.size();
+    frontier_degrees = 0;
+    for (NodeId w : next) frontier_degrees += g.degree(w);
+    unreached_degrees -= frontier_degrees;
+    frontier.swap(next);
+  }
+  return count == n;
 }
 
 Graph::InducedSubgraph largest_component_subgraph(const Graph& g) {

@@ -21,6 +21,9 @@ struct Components {
 
 Components connected_components(const Graph& g);
 
+/// Whether every node is reachable from node 0 (true for n ≤ 1); a
+/// direction-optimizing search that stops as soon as the last node is
+/// reached.
 bool is_connected(const Graph& g);
 
 /// Extracts the largest component as its own graph (ids remapped; mapping

@@ -28,10 +28,13 @@ void DecayProtocol::select_transmitters(std::uint32_t round,
   }
   // Every active node transmits, then survives into the next round of the
   // phase with probability 1/2; the in-place compaction keeps ids ascending.
+  // It stores every node and advances on survival, so the fair coin is
+  // never a branch.
+  out.insert(out.end(), active_.begin(), active_.end());
   std::size_t kept = 0;
   for (const NodeId v : active_) {
-    out.push_back(v);
-    if (rng.bernoulli(0.5)) active_[kept++] = v;
+    active_[kept] = v;
+    kept += rng.bernoulli(0.5) ? 1 : 0;
   }
   active_.resize(kept);
 }

@@ -6,13 +6,6 @@
 
 namespace radio {
 
-EdgeCount sum_transmitter_degrees(
-    const Graph& g, std::span<const NodeId> transmitters) noexcept {
-  EdgeCount sum = 0;
-  for (NodeId t : transmitters) sum += g.degree(t);
-  return sum;
-}
-
 RoundFold::RoundFold(NodeId n)
     : once_(n), twice_(n), dirty_(words_for_bits(n)), tx_(n) {}
 

@@ -12,7 +12,7 @@
 //     twice[w]               ⇔ ≥ 2 transmitting neighbors (collision)
 //     once[w] & ~twice[w]    ⇔ exactly 1 transmitting neighbor.
 //
-// Two folds fill the same accumulators:
+// Three folds fill the same accumulators:
 //
 //   * fold_lists — per transmitter t, per neighbor w in t's adjacency list,
 //     the update above on w's word without a branch, plus one bit per
@@ -24,16 +24,23 @@
 //     Unique senders are recovered per exactly-once listener by scanning
 //     row(w) & transmitting — rare in the dense regime, where nearly every
 //     listener collides.
+//   * fold_pull — the listener side: per uninformed listener, its own
+//     adjacency list against the transmitter bitmap, stopping at the second
+//     transmitting neighbor. At most Σ deg(w) touches over the uninformed
+//     w, on any GraphBackend, and it classifies ONLY those listeners, so it
+//     serves consumers that read nothing but unique & ~informed.
 //
 // read_out() then walks the dirty words in ascending order, hands each
 // consumer the word's collided and unique-listener masks, and clears the
 // scratch behind it: no per-round sort, no O(n) scan on sparse rounds.
 //
-// Cost model (dense_round_pays): fold_lists does Σ deg(t) touches of a few
-// random word writes each; fold_rows moves (|T| + c)·⌈n/64⌉ sequential
-// words. Both folds are exact — identical masks, hence identical Outcomes,
-// delivered sets and observations — so the choice is purely a performance
-// decision and determinism is preserved regardless of which fold runs.
+// Cost model (fold): fold_lists does Σ deg(t) touches of a few random word
+// writes each; fold_rows moves (|T| + 4)·⌈n/64⌉ sequential words
+// (dense_round_pays); fold_pull, when the consumer offers it, at most the
+// uninformed listeners' Σ deg. All folds are exact — identical masks on
+// every listener they classify, hence identical Outcomes, delivered sets
+// and observations — so the choice is purely a performance decision and
+// determinism is preserved regardless of which fold runs.
 #pragma once
 
 #include <bit>
@@ -51,24 +58,50 @@ namespace radio {
 enum class RoundPath : std::uint8_t {
   kSparse = 0,  ///< per-transmitter adjacency-list sweep
   kDense = 1,   ///< word-parallel bitmap kernel
+  kPull = 2,    ///< per-uninformed-listener adjacency-list scan
 };
 
-/// Σ deg(t) over the transmitter set — the sparse path's exact work measure.
-EdgeCount sum_transmitter_degrees(const Graph& g,
-                                  std::span<const NodeId> transmitters) noexcept;
+/// Σ deg(t) over the transmitter set — the sparse path's exact work measure
+/// — or, once the partial sum exceeds `cap`, that partial sum: enough for a
+/// cost model that only compares it with costs up to `cap`.
+template <GraphBackend G>
+EdgeCount sum_transmitter_degrees(const G& g,
+                                  std::span<const NodeId> transmitters,
+                                  EdgeCount cap = ~EdgeCount{0}) {
+  EdgeCount sum = 0;
+  for (NodeId t : transmitters) {
+    sum += g.degree(t);
+    if (sum > cap) break;
+  }
+  return sum;
+}
 
-/// Cost model: true when the word-parallel kernel is expected to beat the
-/// sparse sweep. `sum_deg` is Σ deg(t); the kernel moves roughly
+/// fold_rows' cost in list-fold touches: it moves roughly
 /// (num_tx + 4)·⌈n/64⌉ words (accumulation plus the classification sweeps),
 /// each priced at kTouchesPerBitmapWord random neighbor touches (graph.hpp,
-/// which generate_gnp_bitmap reads too). Never when the bitmap would not fit.
+/// which generate_gnp_bitmap reads too). Unbounded when nobody transmits or
+/// the bitmap would not fit.
+inline EdgeCount row_fold_touches(NodeId n, std::size_t num_tx) noexcept {
+  if (num_tx == 0 || !bitmap_fits(n)) return ~EdgeCount{0};
+  const auto wpr = static_cast<EdgeCount>((static_cast<std::size_t>(n) + 63) / 64);
+  return kTouchesPerBitmapWord * (static_cast<EdgeCount>(num_tx) + 4) * wpr;
+}
+
+/// True when the word-parallel kernel is expected to beat the list fold,
+/// whose work is `sum_deg` = Σ deg(t).
 inline bool dense_round_pays(NodeId n, std::size_t num_tx,
                              EdgeCount sum_deg) noexcept {
-  if (num_tx == 0 || !bitmap_fits(n)) return false;
-  const auto wpr = static_cast<EdgeCount>((static_cast<std::size_t>(n) + 63) / 64);
-  return sum_deg >
-         kTouchesPerBitmapWord * (static_cast<EdgeCount>(num_tx) + 4) * wpr;
+  return sum_deg > row_fold_touches(n, num_tx);
 }
+
+/// A consumer's offer to take the pull fold: its informed set, whose
+/// complement are the listeners fold_pull classifies, and Σ deg over that
+/// complement. Only consumers that read nothing but unique & ~informed may
+/// offer it.
+struct PullListeners {
+  const Bitset* informed = nullptr;  ///< null: push folds only
+  EdgeCount degree_sum = 0;
+};
 
 /// The once/twice accumulators, the dirty-word index and the transmitter
 /// bitmap of one round. Scratch is sized once and cleared by read_out(), so
@@ -100,14 +133,70 @@ class RoundFold {
   /// graph's bitmap cache on first use).
   void fold_rows(const Graph& g, std::span<const NodeId> transmitters);
 
-  /// fold_rows when the backend has a bitmap and dense_round_pays, else
-  /// fold_lists. Returns the path taken.
+  /// Classifies every listener outside `informed` by scanning its own
+  /// adjacency list against the round's transmitter bits (set by
+  /// mark_transmitters), stopping at its second transmitting neighbor.
+  /// Listeners in `informed` read out as silent, and sender() is not
+  /// available afterwards.
+  template <GraphBackend G>
+  void fold_pull(const G& g, const Bitset& informed) {
+    RADIO_EXPECTS(g.num_nodes() == once_.size());
+    RADIO_EXPECTS(informed.size() == once_.size());
+    rows_ = false;
+    const std::uint64_t* known = informed.words().data();
+    const std::uint64_t* tx = tx_.words().data();
+    std::uint64_t* once = once_.words().data();
+    std::uint64_t* twice = twice_.words().data();
+    std::uint64_t* dirty = dirty_.words().data();
+    const std::size_t words = once_.words().size();
+    const std::size_t tail = once_.size() & 63;
+    for (std::size_t wi = 0; wi < words; ++wi) {
+      std::uint64_t listening = ~(known[wi] | tx[wi]);
+      if (tail != 0 && wi + 1 == words)
+        listening &= (std::uint64_t{1} << tail) - 1;
+      std::uint64_t heard = 0;
+      std::uint64_t jammed = 0;
+      for_each_set_bit(listening, wi * 64, [&](std::size_t w) {
+        unsigned hits = 0;
+        for (NodeId v : g.neighbors(static_cast<NodeId>(w))) {
+          hits += static_cast<unsigned>((tx[v >> 6] >> (v & 63)) & 1);
+          if (hits == 2) break;
+        }
+        const std::uint64_t bit = std::uint64_t{1} << (w & 63);
+        if (hits != 0) heard |= bit;
+        if (hits == 2) jammed |= bit;
+      });
+      if (heard == 0) continue;
+      once[wi] = heard;
+      twice[wi] = jammed;
+      dirty[wi >> 6] |= std::uint64_t{1} << (wi & 63);
+    }
+  }
+
+  /// The cost model, and the one place a round's fold is chosen: the
+  /// cheapest of fold_lists (Σ deg(t) touches), fold_rows (when the backend
+  /// has a bitmap: row_fold_touches) and, when the consumer offers its
+  /// uninformed listeners, fold_pull (at most their Σ deg touches). Returns
+  /// the path taken.
   template <GraphBackend G>
   RoundPath fold(const G& g, std::span<const NodeId> transmitters,
-                 std::span<NodeId> writers = {}) {
+                 std::span<NodeId> writers = {}, PullListeners pull = {}) {
+    EdgeCount rows = ~EdgeCount{0};
+    if constexpr (requires { g.adjacency_row(NodeId{0}); })
+      rows = row_fold_touches(g.num_nodes(), transmitters.size());
+    // The list fold's cost is only ever compared with the pull and row
+    // costs, so its sum may stop above both.
+    EdgeCount cap = rows == ~EdgeCount{0} ? 0 : rows;
+    if (pull.informed != nullptr && pull.degree_sum > cap)
+      cap = pull.degree_sum;
+    const EdgeCount list = sum_transmitter_degrees(g, transmitters, cap);
+    if (pull.informed != nullptr && pull.degree_sum < list &&
+        pull.degree_sum < rows) {
+      fold_pull(g, *pull.informed);
+      return RoundPath::kPull;
+    }
     if constexpr (requires { g.adjacency_row(NodeId{0}); }) {
-      if (dense_round_pays(g.num_nodes(), transmitters.size(),
-                           sum_transmitter_degrees(g, transmitters))) {
+      if (list > rows) {
         fold_rows(g, transmitters);
         return RoundPath::kDense;
       }
@@ -118,7 +207,7 @@ class RoundFold {
 
   /// The unique transmitting neighbor of exactly-once listener w in the
   /// last fold: its recorded writer after fold_lists (which must have been
-  /// given `writers`), a row scan after fold_rows.
+  /// given `writers`), a row scan after fold_rows; none after fold_pull.
   NodeId sender(const Graph& g, NodeId w,
                 std::span<const NodeId> writers) const noexcept;
 

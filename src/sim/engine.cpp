@@ -30,13 +30,17 @@ RadioEngine::Outcome RadioEngine::step(std::span<const NodeId> transmitters,
   fold_.mark_transmitters(transmitters);
   bool all_informed = true;
   for (NodeId t : transmitters) all_informed &= informed.test(t);
+  // Senders are looked up only when some transmitter is uninformed, so only
+  // such rounds pay for recording the list fold's writers.
+  const std::span<NodeId> writers =
+      all_informed ? std::span<NodeId>{} : std::span<NodeId>{writers_};
 
   switch (path_mode_) {
     case PathMode::kAuto:
-      last_path_ = fold_.fold(*graph_, transmitters, writers_);
+      last_path_ = fold_.fold(*graph_, transmitters, writers);
       break;
     case PathMode::kForceSparse:
-      fold_.fold_lists(*graph_, transmitters, writers_);
+      fold_.fold_lists(*graph_, transmitters, writers);
       last_path_ = RoundPath::kSparse;
       break;
     case PathMode::kForceDense:

@@ -13,15 +13,17 @@
 // the fold that fills the accumulators differs:
 //
 //   * SPARSE — fold_lists: per-transmitter adjacency-list touches,
-//     O(Σ deg(t) over transmitters t), with each listener's last writer
-//     recorded as its unique sender. Optimal when transmitter neighborhoods
-//     are small.
+//     O(Σ deg(t) over transmitters t). In rounds where some transmitter is
+//     uninformed, each listener's last writer is recorded as its unique
+//     sender. Optimal when transmitter neighborhoods are small.
 //   * DENSE — fold_rows: (|T| + O(1))·⌈n/64⌉ 64-bit word operations per
 //     round against the graph's lazily built adjacency bitmap. Optimal in
 //     the dense regime (§3.1 / E8), where Σ deg(t) approaches |T|·n.
 //
-// A per-round cost model (dense_round_pays) picks the cheaper fold; tests
-// and benches can pin one with force_path(). DETERMINISM CONTRACT: both
+// A per-round cost model (RoundFold::fold) picks the cheaper fold; tests
+// and benches can pin one with force_path(). The engine never takes the
+// listener-side pull fold: it counts collisions and redundant receptions
+// at informed listeners, which a pull fold does not classify. DETERMINISM CONTRACT: both
 // folds produce the same accumulators and the classification walks them in
 // ascending word order, so Outcome counters, delivered sets (appended in
 // ascending node id order) and observation buffers are identical and path
@@ -66,8 +68,9 @@ class RadioEngine {
     return observations_;
   }
 
-  /// Pins the execution path (differential tests, benches). Both paths are
-  /// exact, so this can never change results — only the round's cost.
+  /// Pins the execution path (differential tests, benches): kSparse or
+  /// kDense. Both paths are exact, so this can never change results — only
+  /// the round's cost.
   void force_path(RoundPath path) noexcept {
     path_mode_ = path == RoundPath::kDense ? PathMode::kForceDense
                                            : PathMode::kForceSparse;
@@ -100,7 +103,9 @@ class RadioEngine {
 
   const Graph* graph_;
   RoundFold fold_;
-  std::vector<NodeId> writers_;  ///< fold_lists' last writer per node
+  /// fold_lists' last writer per node, recorded only in rounds where a
+  /// transmitter is uninformed.
+  std::vector<NodeId> writers_;
   PathMode path_mode_ = PathMode::kAuto;
   RoundPath last_path_ = RoundPath::kSparse;
   bool record_observations_ = false;

@@ -14,9 +14,14 @@
 //
 //     newly = unique & ~informed
 //
-// over the round fold's read-out. On a Graph the informed evolution is
-// bit-identical to a BroadcastSession fed the same transmitter sets; on
-// ImplicitGnp it runs without ever materializing an edge list.
+// over the round fold's read-out. Since nothing else is read, a round may
+// also be folded from the listener side (RoundFold::fold_pull): the session
+// keeps Σ deg over its uninformed nodes exactly (2m − deg(source), less each
+// fresh node's degree), and the kernel's cost model pulls whenever that sum
+// is below the transmitters' — the late rounds of a geometrically growing
+// informed set. On a Graph the informed evolution is bit-identical to a
+// BroadcastSession fed the same transmitter sets; on ImplicitGnp it runs
+// without ever materializing an edge list.
 #pragma once
 
 #include <bit>
@@ -45,6 +50,7 @@ class LightSession {
         informed_round_(g.num_nodes(), kUnreachable),
         fold_(g.num_nodes()) {
     RADIO_EXPECTS(source < g.num_nodes());
+    uninformed_degrees_ = 2 * g.num_edges() - g.degree(source);
     informed_.set(source);
     informed_round_[source] = 0;
     informed_count_ = 1;
@@ -54,7 +60,7 @@ class LightSession {
   void step(std::span<const NodeId> transmitters) {
     for (NodeId t : transmitters) RADIO_EXPECTS(informed_.test(t));
     fold_.mark_transmitters(transmitters);
-    fold_.fold(*g_, transmitters);
+    last_path_ = fold_.fold(*g_, transmitters, {}, pull_listeners());
     ++round_;
     const std::span<std::uint64_t> informed_w = informed_.words();
     std::size_t newly = 0;
@@ -63,8 +69,10 @@ class LightSession {
       const std::uint64_t fresh = andnot(unique, known);
       newly += static_cast<std::size_t>(std::popcount(fresh));
       known |= fresh;
-      for_each_set_bit(fresh, base,
-                       [&](std::size_t v) { informed_round_[v] = round_; });
+      for_each_set_bit(fresh, base, [&](std::size_t v) {
+        informed_round_[v] = round_;
+        uninformed_degrees_ -= g_->degree(static_cast<NodeId>(v));
+      });
     });
     fold_.clear_transmitters(transmitters);
     informed_count_ += newly;
@@ -75,10 +83,10 @@ class LightSession {
   /// message if exactly `sample` (distinct, informed nodes) transmitted,
   /// without changing the session — the builder's look-ahead used to
   /// resample unproductive phase-2 rounds before committing them.
-  /// O(Σ deg(sample)), or bitmap rows when the dense cost model pays.
+  /// Costs what step() would: the cheapest of the three folds.
   std::size_t preview_new_informed(std::span<const NodeId> sample) {
     fold_.mark_transmitters(sample);
-    fold_.fold(*g_, sample);
+    last_path_ = fold_.fold(*g_, sample, {}, pull_listeners());
     const std::span<const std::uint64_t> informed_w = informed_.words();
     std::size_t newly = 0;
     fold_.read_out([&](std::size_t base, std::uint64_t, std::uint64_t unique) {
@@ -107,6 +115,8 @@ class LightSession {
   std::uint32_t current_round() const noexcept { return round_; }
   /// Nodes newly informed by the most recent step().
   std::size_t last_newly() const noexcept { return last_newly_; }
+  /// Which fold the most recent step() or preview ran.
+  RoundPath last_path() const noexcept { return last_path_; }
   const Bitset& informed_set() const noexcept { return informed_; }
 
   std::vector<NodeId> informed_nodes() const {
@@ -126,13 +136,19 @@ class LightSession {
   }
 
  private:
+  PullListeners pull_listeners() const noexcept {
+    return {&informed_, uninformed_degrees_};
+  }
+
   const G* g_;
   Bitset informed_;
   std::vector<std::uint32_t> informed_round_;
   RoundFold fold_;  ///< scratch shared by step() and preview_new_informed()
   std::size_t informed_count_ = 0;
   std::size_t last_newly_ = 0;
+  EdgeCount uninformed_degrees_ = 0;  ///< Σ deg over the uninformed nodes
   std::uint32_t round_ = 0;
+  RoundPath last_path_ = RoundPath::kSparse;
 };
 
 }  // namespace radio

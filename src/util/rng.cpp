@@ -24,6 +24,13 @@ std::uint64_t Xoshiro256StarStar::uniform_below(std::uint64_t bound) noexcept {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
+BernoulliDraw::BernoulliDraw(double q) noexcept
+    : draws_(!(q <= 0.0) && !(q >= 1.0)),
+      always_(q >= 1.0),
+      threshold_(q > 0.0 && q < 1.0
+                     ? static_cast<std::uint64_t>(std::ceil(std::ldexp(q, 53)))
+                     : 0) {}
+
 std::uint64_t Xoshiro256StarStar::geometric_skips(double p) noexcept {
   return geometric_skips(p, std::log1p(-p));
 }

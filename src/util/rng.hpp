@@ -132,6 +132,32 @@ class Xoshiro256StarStar {
 /// swapped in one place.
 using Rng = Xoshiro256StarStar;
 
+/// Repeated Bernoulli(q) draws at one fixed q, each one exactly
+/// rng.bernoulli(q): the same result and the same generator state after it.
+/// For 0 < q < 1, bernoulli compares (rng() >> 11)·2⁻⁵³ with q, which holds
+/// exactly when the integer rng() >> 11 is below ⌈q·2⁵³⌉ (scaling by 2⁵³ is
+/// exact, and an integer is below a real iff it is below the real's
+/// ceiling), so each draw is one integer compare. q ≤ 0 and q ≥ 1 draw
+/// nothing, as bernoulli does; a NaN q draws once and is never selected,
+/// as bernoulli's `uniform() < NaN` is. The per-candidate selection loops
+/// (Theorem 5's phase 2, Theorem 7, the oblivious sequences) draw through
+/// it.
+class BernoulliDraw {
+ public:
+  explicit BernoulliDraw(double q) noexcept;
+
+  template <class Generator>
+  bool operator()(Generator& rng) const noexcept {
+    if (!draws_) return always_;
+    return (rng() >> 11) < threshold_;
+  }
+
+ private:
+  bool draws_;
+  bool always_;
+  std::uint64_t threshold_;
+};
+
 /// Stable 64-bit tag for string-keyed table rows (protocol names, scenario
 /// labels). FNV-1a, fixed here forever: std::hash<std::string> is
 /// implementation-defined, so seeding from it would change results across

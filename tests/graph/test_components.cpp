@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "graph/components.hpp"
 #include "graph/random_graph.hpp"
@@ -87,6 +89,65 @@ TEST(Components, GnpAboveThresholdUsuallyConnected) {
     if (is_connected(generate_gnp({n, p}, rng))) ++connected;
   }
   EXPECT_GE(connected, 9);  // w.h.p. regime
+}
+
+// ---- is_connected (direction-optimizing) against connected_components.
+
+/// n = 0 is connected by convention (no pair of nodes is separated), where
+/// connected_components counts zero components.
+void expect_matches_components(const Graph& g, const std::string& what) {
+  const bool expected =
+      g.num_nodes() == 0 || connected_components(g).count() == 1;
+  EXPECT_EQ(is_connected(g), expected) << what;
+}
+
+TEST(IsConnected, MatchesComponentsAroundTheConnectivityThreshold) {
+  int answers[2] = {0, 0};
+  for (const NodeId n : {50u, 300u, 2000u}) {
+    const double threshold = std::log(static_cast<double>(n)) / n;
+    for (const double factor : {0.7, 0.9, 1.0, 1.1, 1.3, 2.0}) {
+      for (std::uint64_t trial = 0; trial < 6; ++trial) {
+        Rng rng = Rng::for_stream(0xC0DE + n, trial * 100 +
+                                                  static_cast<std::uint64_t>(
+                                                      factor * 10));
+        const Graph g = generate_gnp({n, factor * threshold}, rng);
+        expect_matches_components(g, "n=" + std::to_string(n) +
+                                         " factor=" + std::to_string(factor));
+        ++answers[is_connected(g) ? 1 : 0];
+      }
+    }
+  }
+  EXPECT_GT(answers[0], 0) << "no disconnected draw";
+  EXPECT_GT(answers[1], 0) << "no connected draw";
+}
+
+TEST(IsConnected, MatchesComponentsOnConstructedGraphs) {
+  Rng rng(7);
+  const Graph dense = generate_gnp({300, 0.2}, rng);
+  std::vector<Edge> edges = dense.edge_list();
+  // The same dense graph with its first or its last node cut off.
+  std::vector<Edge> without_first, without_last;
+  for (const Edge& e : edges) {
+    if (e.u != 0 && e.v != 0) without_first.push_back(e);
+    if (e.u != 299 && e.v != 299) without_last.push_back(e);
+  }
+  expect_matches_components(dense, "dense");
+  expect_matches_components(Graph::from_edges(300, without_first),
+                            "isolated first node");
+  expect_matches_components(Graph::from_edges(300, without_last),
+                            "isolated last node");
+  EXPECT_FALSE(is_connected(Graph::from_edges(300, without_first)));
+  EXPECT_FALSE(is_connected(Graph::from_edges(300, without_last)));
+  // Two dense components, interleaved ids.
+  std::vector<Edge> two;
+  for (const Edge& e : edges)
+    if ((e.u % 2) == (e.v % 2)) two.push_back(e);
+  expect_matches_components(Graph::from_edges(300, two), "two components");
+  EXPECT_FALSE(is_connected(Graph::from_edges(300, two)));
+  expect_matches_components(Graph::from_edges(0, {}), "n=0");
+  expect_matches_components(Graph::from_edges(1, {}), "n=1");
+  expect_matches_components(Graph::from_edges(2, {}), "n=2, no edge");
+  expect_matches_components(Graph::from_edges(2, {{0, 1}}), "n=2, one edge");
 }
 
 }  // namespace

@@ -2,13 +2,15 @@
 // the fold — RadioEngine on both forced paths and on the cost model,
 // LightSession::step, LightSession::preview_new_informed and GossipSession —
 // must agree with an obviously correct listener-side transcription of §1.1
-// across random graphs, informed sets and transmitter sets. Sizes include
-// n > 4096 (more than one dirty-index word) and n % 64 != 0; engine
+// across random graphs, informed sets and transmitter sets, and the pull
+// fold must classify every uninformed listener as the list fold does. Sizes
+// include n > 4096 (more than one dirty-index word) and n % 64 != 0; engine
 // transmitter sets include uninformed nodes, which jam without delivering.
 // Deliveries are compared unsorted: the engine must append them in ascending
 // id order, which the loss fault model's per-delivery draws depend on.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <ostream>
 #include <span>
@@ -113,6 +115,9 @@ TEST_P(EngineEquivalence, MatchesReferenceOnRandomRounds) {
   for (RadioEngine* engine : {&automatic, &sparse, &dense})
     engine->record_observations(true);
 
+  // Rounds where the forced list fold must look senders up, because some
+  // transmitter is uninformed: the only rounds it records writers in.
+  int list_rounds_with_uninformed_tx = 0;
   for (int round = 0; round < 12; ++round) {
     Bitset informed(g.num_nodes());
     std::vector<NodeId> transmitters;
@@ -120,6 +125,11 @@ TEST_P(EngineEquivalence, MatchesReferenceOnRandomRounds) {
       if (rng.bernoulli(s.informed_fraction)) informed.set(v);
       if (rng.bernoulli(s.tx_fraction)) transmitters.push_back(v);
     }
+    for (NodeId t : transmitters)
+      if (!informed.test(t)) {
+        ++list_rounds_with_uninformed_tx;
+        break;
+      }
     const ReferenceOutcome ref = reference_step(g, transmitters, informed);
 
     for (RadioEngine* engine : {&automatic, &sparse, &dense}) {
@@ -138,6 +148,10 @@ TEST_P(EngineEquivalence, MatchesReferenceOnRandomRounds) {
         ASSERT_EQ(obs[v], ref.observations[v])
             << path << " round " << round << " node " << v;
     }
+  }
+  if (s.informed_fraction < 1.0) {
+    EXPECT_GT(list_rounds_with_uninformed_tx, 0)
+        << "no list-fold round looked a sender up";
   }
 }
 
@@ -161,17 +175,19 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+/// How many folds took each RoundPath, indexed by its value.
+using PathCounts = std::array<int, 3>;
+
 /// Drives a LightSession from `source` with random informed transmitter
 /// sets; before each step, previews a second random informed sample. Both
 /// must match the reference round, the preview must leave the session
 /// untouched, and the session's view must report n, the informed count and
-/// the round of every delivery (and the graph itself on a Graph). Returns
-/// how many rounds the cost model would run dense.
+/// the round of every delivery (and the graph itself on a Graph). Adds the
+/// path of every preview and step to `paths`.
 template <GraphBackend G>
-int check_light_session(const G& g, NodeId source, double tx_fraction,
-                        int rounds, Rng& rng) {
+void check_light_session(const G& g, NodeId source, double tx_fraction,
+                         int rounds, Rng& rng, PathCounts& paths) {
   LightSession<G> session(g, source);
-  int dense_rounds = 0;
   for (int round = 0; round < rounds && !session.complete(); ++round) {
     const Bitset before = session.informed_set();
     const std::vector<NodeId> informed = session.informed_nodes();
@@ -181,14 +197,13 @@ int check_light_session(const G& g, NodeId source, double tx_fraction,
               reference_step(g, sample, before).delivered.size())
         << "preview, round " << round;
     EXPECT_EQ(session.informed_set(), before) << "preview changed the session";
+    ++paths[static_cast<std::size_t>(session.last_path())];
 
     const std::vector<NodeId> transmitters =
         sample_nodes(informed, tx_fraction, rng);
-    if constexpr (std::is_same_v<G, Graph>)
-      dense_rounds += dense_round_pays(g.num_nodes(), transmitters.size(),
-                                       sum_transmitter_degrees(g, transmitters));
     const ReferenceOutcome ref = reference_step(g, transmitters, before);
     session.step(transmitters);
+    ++paths[static_cast<std::size_t>(session.last_path())];
     Bitset expected = before;
     for (NodeId w : ref.delivered) expected.set(w);
     EXPECT_EQ(session.informed_set(), expected) << "step, round " << round;
@@ -208,28 +223,107 @@ int check_light_session(const G& g, NodeId source, double tx_fraction,
           << "round " << round << " node " << w;
   }
   EXPECT_EQ(session.view().informed_round(source), 0u);
-  return dense_rounds;
 }
 
 TEST(FoldOracle, LightSessionAndPreviewMatchReferenceOnGraph) {
-  int dense_rounds = 0;
+  PathCounts paths{};
   const struct {
     NodeId n;
     double p;
     double tx_fraction;
-  } cases[] = {{4133, 0.002, 0.5}, {4133, 0.3, 0.3}, {777, 0.6, 0.8}};
+  } cases[] = {{4133, 0.002, 0.5}, {4133, 0.3, 0.3}, {777, 0.6, 0.8},
+               // A large share of a soon nearly full informed set transmits:
+               // the late rounds pull.
+               {3000, 0.004, 0.7}};
   for (const auto& c : cases) {
     Rng rng = Rng::for_stream(0xF01D, c.n * 7 + static_cast<NodeId>(c.p * 100));
     const Graph g = generate_gnp({c.n, c.p}, rng);
-    dense_rounds += check_light_session(g, 0, c.tx_fraction, 10, rng);
+    check_light_session(g, 0, c.tx_fraction, 14, rng, paths);
   }
-  EXPECT_GT(dense_rounds, 0) << "no case exercised the bitmap-row fold";
+  EXPECT_GT(paths[static_cast<std::size_t>(RoundPath::kSparse)], 0)
+      << "no fold took the adjacency-list fold";
+  EXPECT_GT(paths[static_cast<std::size_t>(RoundPath::kDense)], 0)
+      << "no fold took the bitmap-row fold";
+  EXPECT_GT(paths[static_cast<std::size_t>(RoundPath::kPull)], 0)
+      << "no fold took the pull fold";
 }
 
 TEST(FoldOracle, LightSessionAndPreviewMatchReferenceOnImplicitGnp) {
+  PathCounts paths{};
   Rng rng = Rng::for_stream(0xF01D, 1);
   const ImplicitGnp g(4133, 0.002, 77);
-  check_light_session(g, 5, 0.5, 10, rng);
+  check_light_session(g, 5, 0.5, 14, rng, paths);
+  EXPECT_GT(paths[static_cast<std::size_t>(RoundPath::kSparse)], 0)
+      << "no fold took the adjacency-list fold";
+  EXPECT_GT(paths[static_cast<std::size_t>(RoundPath::kPull)], 0)
+      << "no fold took the pull fold";
+  EXPECT_EQ(paths[static_cast<std::size_t>(RoundPath::kDense)], 0)
+      << "ImplicitGnp has no bitmap rows";
+}
+
+/// Folds one round of `transmitters` (all informed) both ways and checks
+/// that fold_pull classifies every listener outside `informed` exactly as
+/// fold_lists does, word by word: its fresh receptions (unique & ~informed)
+/// and its collisions.
+template <GraphBackend G>
+void expect_pull_matches_lists(const G& g, const Bitset& informed,
+                               std::span<const NodeId> transmitters) {
+  const std::size_t words = informed.words().size();
+  const auto collect = [&](RoundFold& fold, std::vector<std::uint64_t>& fresh,
+                           std::vector<std::uint64_t>& jammed) {
+    fresh.assign(words, 0);
+    jammed.assign(words, 0);
+    fold.read_out([&](std::size_t base, std::uint64_t collided,
+                      std::uint64_t unique) {
+      const std::uint64_t known = informed.words()[base / 64];
+      fresh[base / 64] = andnot(unique, known);
+      jammed[base / 64] = andnot(collided, known);
+    });
+  };
+  RoundFold fold(g.num_nodes());
+  fold.mark_transmitters(transmitters);
+  std::vector<std::uint64_t> list_fresh, list_jammed, pull_fresh, pull_jammed;
+  fold.fold_lists(g, transmitters);
+  collect(fold, list_fresh, list_jammed);
+  fold.fold_pull(g, informed);
+  collect(fold, pull_fresh, pull_jammed);
+  fold.clear_transmitters(transmitters);
+  for (std::size_t wi = 0; wi < words; ++wi) {
+    ASSERT_EQ(pull_fresh[wi], list_fresh[wi]) << "fresh word " << wi;
+    ASSERT_EQ(pull_jammed[wi], list_jammed[wi]) << "collided word " << wi;
+  }
+}
+
+TEST(FoldOracle, PullFoldMatchesListFoldWordByWord) {
+  const ImplicitGnp implicit(4133, 0.003, 78);
+  const Graph implicit_twin = implicit.materialize();
+  const struct {
+    NodeId n;
+    double p;
+  } cases[] = {{4133, 0.002}, {777, 0.05}, {200, 0.4}, {64, 0.1}};
+  Rng rng = Rng::for_stream(0x9011, 3);
+  for (const double informed_fraction : {0.02, 0.5, 0.97}) {
+    for (const double tx_fraction : {0.01, 0.3, 1.0}) {
+      for (const auto& c : cases) {
+        const Graph g = generate_gnp({c.n, c.p}, rng);
+        Bitset informed(c.n);
+        std::vector<NodeId> members;
+        for (NodeId v = 0; v < c.n; ++v)
+          if (rng.bernoulli(informed_fraction)) informed.set(v);
+        informed.collect(members);
+        const std::vector<NodeId> tx = sample_nodes(members, tx_fraction, rng);
+        expect_pull_matches_lists(g, informed, tx);
+      }
+      Bitset informed(implicit.num_nodes());
+      std::vector<NodeId> members;
+      for (NodeId v = 0; v < implicit.num_nodes(); ++v)
+        if (rng.bernoulli(informed_fraction)) informed.set(v);
+      informed.collect(members);
+      const std::vector<NodeId> tx = sample_nodes(members, tx_fraction, rng);
+      expect_pull_matches_lists(implicit, informed, tx);
+      expect_pull_matches_lists(implicit_twin, informed, tx);
+    }
+  }
 }
 
 TEST(FoldOracle, GossipSessionMatchesReference) {

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -324,6 +325,82 @@ TEST_P(BernoulliWordSweep, BitDensityMatchesProbability) {
 INSTANTIATE_TEST_SUITE_P(Probabilities, BernoulliWordSweep,
                          ::testing::Values(0.01, 0.1, 0.25, 1.0 / 3.0, 0.5,
                                            0.75, 0.9, 0.99));
+
+// ---- BernoulliDraw: bernoulli(q) as an integer compare, draw for draw.
+
+TEST(BernoulliDraw, MatchesBernoulliResultsAndGeneratorState) {
+  const double q_min = 0x1.0p-53;
+  const double probabilities[] = {q_min,
+                                  std::nextafter(q_min, 0.0),
+                                  std::nextafter(q_min, 1.0),
+                                  1.0 / 3.0,
+                                  0.5,
+                                  std::nextafter(1.0, 0.0),
+                                  std::numeric_limits<double>::denorm_min(),
+                                  0.0,
+                                  -0.25,
+                                  1.0,
+                                  1.5,
+                                  std::numeric_limits<double>::quiet_NaN()};
+  for (const double q : probabilities) {
+    Rng a(44), b(44);
+    const BernoulliDraw selected(q);
+    int hits = 0;
+    for (int i = 0; i < 200000; ++i) {
+      const bool expected = a.bernoulli(q);
+      ASSERT_EQ(selected(b), expected) << "q = " << q << ", draw " << i;
+      hits += expected ? 1 : 0;
+    }
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(a(), b()) << "q = " << q;
+    if (q == 0.5 || q == 1.0 / 3.0) {
+      EXPECT_NEAR(hits / 200000.0, q, 0.01) << "q = " << q;
+    }
+  }
+}
+
+/// Hands out scripted raw draws, so the compare can be pinned at the
+/// threshold itself, which random draws essentially never hit.
+struct ScriptedDraws {
+  std::vector<std::uint64_t> raw;
+  std::size_t next = 0;
+  std::uint64_t operator()() noexcept { return raw[next++]; }
+};
+
+TEST(BernoulliDraw, ThresholdIsExactAroundEveryBoundary) {
+  const double q_min = 0x1.0p-53;
+  for (const double q :
+       {q_min, std::nextafter(q_min, 0.0), std::nextafter(q_min, 1.0),
+        1.0 / 3.0, 0.5, std::nextafter(1.0, 0.0),
+        std::numeric_limits<double>::denorm_min(), 0.1, 0.7}) {
+    // ⌈q·2⁵³⌉ and its neighbours, each with random low bits below the 53
+    // the draw reads.
+    const auto t = static_cast<std::uint64_t>(std::ceil(std::ldexp(q, 53)));
+    ScriptedDraws draws;
+    for (std::uint64_t x : {t - 1, t, t + 1, std::uint64_t{0}})
+      if (x < (std::uint64_t{1} << 53)) draws.raw.push_back(x << 11 | 0x5a5);
+    const BernoulliDraw selected(q);
+    for (std::size_t i = 0; i < draws.raw.size(); ++i) {
+      const std::uint64_t raw = draws.raw[i];
+      const bool expected =
+          static_cast<double>(raw >> 11) * 0x1.0p-53 < q;  // bernoulli's test
+      EXPECT_EQ(selected(draws), expected) << "q = " << q << ", raw " << raw;
+    }
+  }
+}
+
+TEST(BernoulliDraw, DegenerateProbabilitiesDrawLikeBernoulli) {
+  Rng a(45), untouched(45);
+  EXPECT_FALSE(BernoulliDraw(0.0)(a));
+  EXPECT_FALSE(BernoulliDraw(-1.0)(a));
+  EXPECT_TRUE(BernoulliDraw(1.0)(a));
+  EXPECT_TRUE(BernoulliDraw(2.0)(a));
+  EXPECT_EQ(a(), untouched());  // none of them drew
+  // A NaN q draws once and is never selected.
+  Rng b(46), c(46);
+  EXPECT_FALSE(BernoulliDraw(std::numeric_limits<double>::quiet_NaN())(b));
+  c();
+  EXPECT_EQ(b(), c());
+}
 
 // ---- derive_row_seed / stable_row_tag: the sanctioned per-row derivation.
 
