@@ -1,16 +1,17 @@
 // bench_layers — every microbenchmark of the simulator in one
 // google-benchmark binary, grouped by the layers of scripts/layers.json
-// (bottom to top: graph, sim-kernel, sim, sim-batch, core, gossip). Each
-// bench draws its instance from a fixed seed, so runs time the same work.
-// Experiment tables come from radio_bench, not from here.
+// (bottom to top: util, graph, sim-kernel, sim, sim-batch, core, gossip).
+// Each bench draws its instance from a fixed seed, so runs time the same
+// work. Experiment tables come from radio_bench, not from here.
 //
 //   build/bench/bench_layers --benchmark_filter=BM_DenseRoundKernel
 //   build/bench/bench_layers --benchmark_format=json > layers.json
 //
-// `scripts/bench_report.py --layers layers.json` folds the graph-generation
-// benches (its GEN_BENCH_PATHS), the traversal benches (TRAVERSAL_BENCHES)
-// and the batch sweep into a BENCH_run.json entry; scripts/ci.sh checks that
-// those names stay registered.
+// `scripts/bench_report.py --layers layers.json` folds the selection bench
+// (its SELECTION_BENCHES), the graph-generation benches (GEN_BENCH_PATHS),
+// the traversal benches (TRAVERSAL_BENCHES) and the batch sweep into a
+// BENCH_run.json entry; scripts/ci.sh checks that those names stay
+// registered.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -38,6 +39,7 @@
 #include "sim/faults.hpp"
 #include "sim/runner.hpp"
 #include "sim/session.hpp"
+#include "util/bitset.hpp"
 
 namespace {
 
@@ -68,6 +70,40 @@ std::vector<radio::NodeId> sample_nodes(radio::NodeId n, double q,
 }
 
 }  // namespace
+
+// ----------------------------------------------------------------- util
+// Transmitter selection: Bitset::for_each_sampled, the one fixed-q
+// Bernoulli walk behind the oblivious sequences, Theorem 7, uniform gossip
+// and Theorem 5's phase 2, at q = 1/d (d = ln² n) over an informed set of
+// 97% of the nodes, as in a late Theorem-7 tail round. items_per_second
+// counts the candidates drawn for.
+namespace util_layer {
+namespace {
+
+void BM_SampleInformed(benchmark::State& state) {
+  const auto n = static_cast<radio::NodeId>(state.range(0));
+  const double q = 1.0 / ln2_params(n).expected_degree();
+  radio::Bitset informed(n);
+  radio::Rng fill(71);
+  for (radio::NodeId v = 0; v < n; ++v)
+    if (fill.bernoulli(0.97)) informed.set(v);
+  const auto candidates = static_cast<std::int64_t>(informed.count());
+  std::vector<radio::NodeId> selected;
+  std::uint64_t k = 0;
+  for (auto _ : state) {
+    radio::Rng rng = next_draw(k);
+    selected.clear();
+    informed.for_each_sampled(q, rng, [&](std::size_t v) {
+      selected.push_back(static_cast<radio::NodeId>(v));
+    });
+    benchmark::DoNotOptimize(selected.data());
+  }
+  state.SetItemsProcessed(state.iterations() * candidates);
+}
+BENCHMARK(BM_SampleInformed)->Arg(1 << 12)->Unit(benchmark::kMillisecond);
+
+}  // namespace
+}  // namespace util_layer
 
 // ---------------------------------------------------------------- graph
 // Edges/sec of every G(n,p) production path, plus generation time vs n for

@@ -17,9 +17,12 @@ With ``--layers LAYERS_JSON``, the output of
 
   bench/bench_layers --benchmark_format=json --benchmark_out=LAYERS_JSON
 
-the entry additionally records whichever of these three tables the dump
+the entry additionally records whichever of these four tables the dump
 holds (it is an error when it holds none):
 
+  * ``selection``: {bench, n, ms, rate, unit} rows — the fixed-q Bernoulli
+    walk of transmitter selection at q = 1/d over 97% of the nodes, in
+    candidates/sec;
   * ``graph_gen``: {path, n, ms, edges/sec} rows — generation throughput of
     the CSR and bitmap producers at d = n^0.75, of the auto cost model at
     d = ln² n (path ``auto``), plus the implicit backend's index-build time
@@ -316,16 +319,21 @@ TRAVERSAL_BENCHES = {
     "BM_LightSessionBroadcast": "trials_per_s",
 }
 
+# Selection benches, likewise.
+SELECTION_BENCHES = {
+    "BM_SampleInformed": "items_per_second",
+}
 
-def traversal_rows(doc: dict) -> list[dict]:
-    """Extracts {bench, n, ms, rate, unit} rows of the TRAVERSAL_BENCHES from
-    a google-benchmark JSON dump."""
+
+def rate_rows(doc: dict, benches: dict[str, str]) -> list[dict]:
+    """Extracts {bench, n, ms, rate, unit} rows of `benches` (bench name ->
+    counter) from a google-benchmark JSON dump."""
     rows = []
     for bench in doc.get("benchmarks", []):
         parts = bench.get("name", "").split("/")
-        if len(parts) != 2 or parts[0] not in TRAVERSAL_BENCHES:
+        if len(parts) != 2 or parts[0] not in benches:
             continue
-        unit = TRAVERSAL_BENCHES[parts[0]]
+        unit = benches[parts[0]]
         rate = bench.get(unit)
         real_time = bench.get("real_time")
         if not isinstance(rate, (int, float)) or \
@@ -334,7 +342,7 @@ def traversal_rows(doc: dict) -> list[dict]:
         rows.append({
             "bench": parts[0],
             "n": int(parts[1]),
-            "ms": round(float(real_time), 3),  # benchmark unit is ms
+            "ms": round(float(real_time), 6),  # benchmark unit is ms
             "rate": round(float(rate), 2),
             "unit": unit,
         })
@@ -342,21 +350,22 @@ def traversal_rows(doc: dict) -> list[dict]:
 
 
 def layer_tables(layers_json: pathlib.Path) -> dict[str, list[dict]]:
-    """The graph_gen, traversal and batch_sweep tables a bench_layers JSON
-    dump holds, keyed by their BENCH_run.json entry names; an error when it
-    holds none."""
+    """The selection, graph_gen, traversal and batch_sweep tables a
+    bench_layers JSON dump holds, keyed by their BENCH_run.json entry names;
+    an error when it holds none."""
     try:
         doc = json.loads(layers_json.read_text())
     except json.JSONDecodeError as err:
         raise SystemExit(f"error: {layers_json} is not valid JSON: {err}")
     tables = {"batch_sweep": batch_sweep_rows(doc),
               "graph_gen": gen_sweep_rows(doc),
-              "traversal": traversal_rows(doc)}
+              "selection": rate_rows(doc, SELECTION_BENCHES),
+              "traversal": rate_rows(doc, TRAVERSAL_BENCHES)}
     tables = {name: rows for name, rows in tables.items() if rows}
     if not tables:
+        names = [*SELECTION_BENCHES, *GEN_BENCH_PATHS, *TRAVERSAL_BENCHES]
         raise SystemExit(
-            f"error: {layers_json} has no"
-            f" {' / '.join([*GEN_BENCH_PATHS, *TRAVERSAL_BENCHES])}"
+            f"error: {layers_json} has no {' / '.join(names)}"
             " entries nor pairable BM_BatchSweep / BM_PerInstanceSweep"
             " entries")
     return tables
@@ -390,8 +399,8 @@ def main(argv: list[str]) -> int:
                         help="append a trajectory entry to this file")
     parser.add_argument("--layers", type=pathlib.Path,
                         help="bench_layers --benchmark_format=json output"
-                             " whose graph_gen, traversal and batch_sweep"
-                             " tables to fold into the entry")
+                             " whose selection, graph_gen, traversal and"
+                             " batch_sweep tables to fold into the entry")
     args = parser.parse_args(argv)
 
     if not args.out_dir.is_dir():

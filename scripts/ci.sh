@@ -33,8 +33,9 @@
 #     numbers.
 #   * tsan: ThreadSanitizer over the OpenMP-heavy suites (trial runner,
 #     thread-count determinism, dense/sparse dual-path differential tests)
-#     at OMP_NUM_THREADS=4 — data races in run_trials' failure capture or
-#     the engine's parallel paths fail CI.
+#     at OMP_NUM_THREADS=4, and ImplicitGnp's lazily published index — data
+#     races in run_trials' failure capture, the engine's parallel paths or
+#     the index publication fail CI.
 #
 # Usage: scripts/ci.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -113,20 +114,20 @@ if [[ "$status" != 2 ]]; then
 fi
 
 # bench_layers must keep registering every benchmark bench_report.py
-# --layers folds into BENCH_run.json (its GEN_BENCH_PATHS and
-# TRAVERSAL_BENCHES keys and the batch sweep pair), or those tables would
-# silently drop out. Listing suffices:
+# --layers folds into BENCH_run.json (its SELECTION_BENCHES, GEN_BENCH_PATHS
+# and TRAVERSAL_BENCHES keys and the batch sweep pair), or those tables
+# would silently drop out. Listing suffices:
 # the sweep itself takes about 30 s even at --benchmark_min_time=0.01.
 "$BUILD_DIR/bench/bench_layers" --benchmark_list_tests=true \
   > "$SMOKE_DIR/layers.txt"
 python3 - "$SMOKE_DIR/layers.txt" <<'PY'
 import pathlib, sys
 sys.path.insert(0, "scripts")
-from bench_report import GEN_BENCH_PATHS, TRAVERSAL_BENCHES
+from bench_report import GEN_BENCH_PATHS, SELECTION_BENCHES, TRAVERSAL_BENCHES
 listed = {name.split("/")[0]
           for name in pathlib.Path(sys.argv[1]).read_text().split()}
-folded = (set(GEN_BENCH_PATHS) | set(TRAVERSAL_BENCHES)
-          | {"BM_BatchSweep", "BM_PerInstanceSweep"})
+folded = (set(SELECTION_BENCHES) | set(GEN_BENCH_PATHS)
+          | set(TRAVERSAL_BENCHES) | {"BM_BatchSweep", "BM_PerInstanceSweep"})
 missing = sorted(folded - listed)
 if missing:
     sys.exit(f"ci: bench_layers does not register {missing}")
@@ -244,7 +245,7 @@ if [[ "${RADIO_CI_SKIP_SANITIZERS:-0}" != "1" ]]; then
     -
   run_sanitizer_stage tsan \
     "-fsanitize=thread -fno-omit-frame-pointer" \
-    'TrialRunner|ThreadDeterminism|EngineEquivalence|DenseKernel|EngineDense|BatchDeterminism|BatchEquivalence|BatchEngine|StreamDeterminism|StreamSession|StreamWorkload|Adversary|FixedSmallSet|GuidedSmallSetSearch|GuidedSearchFixture' \
+    'TrialRunner|ThreadDeterminism|EngineEquivalence|DenseKernel|EngineDense|BatchDeterminism|BatchEquivalence|BatchEngine|StreamDeterminism|StreamSession|StreamWorkload|Adversary|FixedSmallSet|GuidedSmallSetSearch|GuidedSearchFixture|ImplicitGnp' \
     OMP_NUM_THREADS=4 TSAN_OPTIONS="halt_on_error=1"
 fi
 

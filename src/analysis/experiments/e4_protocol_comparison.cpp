@@ -224,9 +224,10 @@ ExperimentResult run_e4_protocol_comparison(const ExperimentConfig& config) {
   }
 
   result.note(
-      "expected ordering: Thm5 <= Thm7 ~ rumor push < decay < "
-      "selective-family << round-robin; flooding must NOT complete "
-      "(collision stall) - that failure motivates the whole problem.");
+      "expected ordering (mean rounds): Thm5 ~ Thm7 all-informed tail <= "
+      "rumor push < Thm7 < selective-family < decay ~ uniform gossip << "
+      "round-robin; flooding must NOT complete (collision stall) - that "
+      "failure motivates the whole problem.");
   return result;
 }
 

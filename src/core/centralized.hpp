@@ -107,18 +107,6 @@ inline constexpr int kResampleAttempts = 8;
 /// Hard cap on mop-up sweeps before the builder reports failure.
 inline constexpr int kMaxMopupSweeps = 64;
 
-inline std::vector<NodeId> sample_subset(std::span<const NodeId> candidates,
-                                         double rate, Rng& rng) {
-  std::vector<NodeId> out;
-  out.reserve(static_cast<std::size_t>(
-                  rate * static_cast<double>(candidates.size())) +
-              8);
-  const BernoulliDraw selected(rate);
-  for (NodeId v : candidates)
-    if (selected(rng)) out.push_back(v);
-  return out;
-}
-
 /// Uniform sample of exactly min(k, |candidates|) elements
 /// (partial Fisher–Yates on a copy).
 inline std::vector<NodeId> sample_exactly(std::span<const NodeId> candidates,
@@ -221,21 +209,20 @@ CentralizedResult build_centralized_schedule(
         std::max(1.0, static_cast<double>(n) / (d * d)));
     const double rate = std::min(1.0, options.selective_rate_scale / d);
 
+    Bitset candidates(n);  // informed & ~used (informed under the ablation)
     for (std::uint32_t k = 0; k < selective_budget; ++k) {
       if (session.complete()) break;
       if (n - session.informed_count() <= residual_target) break;
-      std::vector<NodeId> candidates;
       const std::span<const std::uint64_t> informed =
           session.informed_set().words();
       const std::span<const std::uint64_t> spent = used.words();
-      for (std::size_t wi = 0; wi < informed.size(); ++wi)
-        for_each_set_bit(
-            options.ablate_disjoint_sets ? informed[wi]
-                                         : andnot(informed[wi], spent[wi]),
-            wi * 64, [&](std::size_t v) {
-              candidates.push_back(static_cast<NodeId>(v));
-            });
-      if (candidates.empty()) break;
+      const std::span<std::uint64_t> words = candidates.words();
+      for (std::size_t wi = 0; wi < words.size(); ++wi)
+        words[wi] = options.ablate_disjoint_sets
+                        ? informed[wi]
+                        : andnot(informed[wi], spent[wi]);
+      const std::size_t candidate_count = candidates.count();
+      if (candidate_count == 0) break;
 
       // Build-time resampling: the schedule must be productive once frozen,
       // so unproductive draws are discarded here rather than replayed later.
@@ -243,8 +230,13 @@ CentralizedResult build_centralized_schedule(
       std::size_t best_gain = 0;
       for (int attempt = 0; attempt < centralized_detail::kResampleAttempts;
            ++attempt) {
-        std::vector<NodeId> sample =
-            centralized_detail::sample_subset(candidates, rate, rng);
+        std::vector<NodeId> sample;
+        sample.reserve(static_cast<std::size_t>(
+                           rate * static_cast<double>(candidate_count)) +
+                       8);
+        candidates.for_each_sampled(rate, rng, [&](std::size_t v) {
+          sample.push_back(static_cast<NodeId>(v));
+        });
         const std::size_t gain = session.preview_new_informed(sample);
         if (gain > best_gain || best.empty()) {
           best_gain = gain;

@@ -30,7 +30,7 @@ void ElsasserGasieniecBroadcast::reset(const ProtocolContext& ctx) {
   kickoff_probability_ = std::min(1.0, std::max(kick, 1.0 / n));
 
   tail_probability_ = std::min(1.0, options_.selective_rate_scale / d);
-  tail_nodes_.clear();
+  tail_frozen_ = false;
 }
 
 double ElsasserGasieniecBroadcast::transmit_probability(
@@ -43,24 +43,24 @@ double ElsasserGasieniecBroadcast::transmit_probability(
 void ElsasserGasieniecBroadcast::select_transmitters(
     std::uint32_t round, const SessionView& session, Rng& rng,
     std::vector<NodeId>& out) {
-  const BernoulliDraw selected(transmit_probability(round));
-  const auto draw = [&](NodeId v) {
-    if (selected(rng)) out.push_back(v);
+  const double q = transmit_probability(round);
+  const auto transmit = [&](std::size_t v) {
+    out.push_back(static_cast<NodeId>(v));
   };
-  if (round > switch_round_ && !options_.tail_includes_late_informed) {
-    // The paper's tail: only nodes informed by the end of round D transmit.
-    // Rebuilding an empty list is harmless: no later round adds such a node.
-    if (tail_nodes_.empty())
-      session.informed_set().for_each_set([&](std::size_t i) {
-        const auto v = static_cast<NodeId>(i);
-        if (session.informed_round(v) <= switch_round_)
-          tail_nodes_.push_back(v);
-      });
-    for (const NodeId v : tail_nodes_) draw(v);
+  if (round <= switch_round_ || options_.tail_includes_late_informed) {
+    session.informed_set().for_each_sampled(q, rng, transmit);
     return;
   }
-  session.informed_set().for_each_set(
-      [&](std::size_t i) { draw(static_cast<NodeId>(i)); });
+  // The paper's tail: only nodes informed by the end of round D transmit.
+  if (!tail_frozen_) {
+    tail_ = session.informed_set();
+    session.informed_set().for_each_set([&](std::size_t v) {
+      if (session.informed_round(static_cast<NodeId>(v)) > switch_round_)
+        tail_.reset(v);
+    });
+    tail_frozen_ = true;
+  }
+  tail_.for_each_sampled(q, rng, transmit);
 }
 
 }  // namespace radio

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "sim/protocol.hpp"
+#include "util/bitset.hpp"
 
 namespace radio {
 
@@ -60,12 +61,13 @@ class ElsasserGasieniecBroadcast final : public Protocol {
   std::uint32_t switch_round_ = 1;  ///< D
   double kickoff_probability_ = 1.0;
   double tail_probability_ = 1.0;
-  /// Ascending ids of the paper's tail transmitters (informed_round ≤ D).
-  /// No round after D changes that set, so it is listed once, at the first
-  /// tail round, and cleared by reset(). Tail rounds draw over this list
-  /// instead of the whole informed set: the same nodes in the same order,
-  /// so every Bernoulli draw is unchanged.
-  std::vector<NodeId> tail_nodes_;
+  /// The paper's tail transmitters (informed_round ≤ D). No round after D
+  /// changes that set, so it is snapshotted from the informed set once, at
+  /// the first tail round, and dropped by reset(). Tail rounds draw over
+  /// this snapshot instead of the whole informed set: the same nodes in the
+  /// same order, so every Bernoulli draw is unchanged.
+  Bitset tail_;
+  bool tail_frozen_ = false;
 };
 
 }  // namespace radio

@@ -22,9 +22,8 @@ void ObliviousSequenceProtocol::select_transmitters(
   const double q = round <= probabilities_.size()
                        ? probabilities_[round - 1]
                        : probabilities_.back();
-  const BernoulliDraw selected(q);
-  session.informed_set().for_each_set([&](std::size_t v) {
-    if (selected(rng)) out.push_back(static_cast<NodeId>(v));
+  session.informed_set().for_each_sampled(q, rng, [&](std::size_t v) {
+    out.push_back(static_cast<NodeId>(v));
   });
 }
 

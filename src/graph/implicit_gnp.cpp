@@ -54,7 +54,7 @@ bool ImplicitGnp::has_edge(NodeId u, NodeId v) const {
   return std::binary_search(nbrs.begin(), nbrs.end(), v);
 }
 
-void ImplicitGnp::ensure_index() const {
+const Graph& ImplicitGnp::build_index() const {
   Index& ix = *index_;
   std::call_once(ix.once, [&] {
     // Stream every forward walk into one run per node (ascending v, each run
@@ -69,12 +69,11 @@ void ImplicitGnp::ensure_index() const {
       foff[v + 1] = fadj.size();
     }
     ix.graph = Graph::from_sorted_runs(n_, Graph::RunSide::kAbove, foff, fadj);
+    ix.built.store(&ix.graph, std::memory_order_release);
   });
+  return ix.graph;
 }
 
-Graph ImplicitGnp::materialize() const {
-  ensure_index();
-  return index_->graph;
-}
+Graph ImplicitGnp::materialize() const { return index(); }
 
 }  // namespace radio

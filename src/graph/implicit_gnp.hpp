@@ -23,10 +23,12 @@
 // the forward half (~3 GB), never a 24-byte-per-edge sort buffer.
 //
 // After the index is built every accessor is const, allocation-free and
-// thread-safe; spans returned by neighbors() are stable for the lifetime of
+// thread-safe, and finds the index with one acquire load instead of a
+// call_once; spans returned by neighbors() are stable for the lifetime of
 // the (shared) index.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -53,26 +55,19 @@ class ImplicitGnp {
   std::uint64_t seed() const noexcept { return seed_; }
 
   /// Degree of v (builds the index on first call).
-  NodeId degree(NodeId v) const {
-    ensure_index();
-    return index_->graph.degree(v);
-  }
+  NodeId degree(NodeId v) const { return index().degree(v); }
 
   /// Sorted neighbors of v; the span stays valid while any copy of this
   /// backend is alive.
   std::span<const NodeId> neighbors(NodeId v) const {
-    ensure_index();
-    return index_->graph.neighbors(v);
+    return index().neighbors(v);
   }
 
   /// O(log deg) membership test.
   bool has_edge(NodeId u, NodeId v) const;
 
   /// Number of undirected edges (builds the index).
-  EdgeCount num_edges() const {
-    ensure_index();
-    return index_->graph.num_edges();
-  }
+  EdgeCount num_edges() const { return index().num_edges(); }
 
   /// The forward stream fwd(v) alone, regenerated from its substream without
   /// touching the index — the primitive the property tests pin byte-stability
@@ -87,9 +82,20 @@ class ImplicitGnp {
   struct Index {
     std::once_flag once;
     Graph graph;  ///< the full symmetric CSR
+    /// &graph once it is built, published with release order: a query
+    /// that reads it non-null with acquire order sees the whole CSR and
+    /// skips call_once.
+    std::atomic<const Graph*> built{nullptr};
   };
 
-  void ensure_index() const;
+  /// The built CSR: one acquire load on every query, and build_index()
+  /// (call_once) only until the index is published.
+  const Graph& index() const {
+    const Graph* graph = index_->built.load(std::memory_order_acquire);
+    return graph != nullptr ? *graph : build_index();
+  }
+
+  const Graph& build_index() const;
 
   NodeId n_ = 0;
   double p_ = 0.0;

@@ -19,8 +19,8 @@ void UniformGossipProtocol::reset(const ProtocolContext& ctx) {
 void UniformGossipProtocol::select_transmitters(
     std::uint32_t, const SessionView& session, Rng& rng,
     std::vector<NodeId>& out) {
-  session.informed_set().for_each_set([&](std::size_t v) {
-    if (rng.bernoulli(q_)) out.push_back(static_cast<NodeId>(v));
+  session.informed_set().for_each_sampled(q_, rng, [&](std::size_t v) {
+    out.push_back(static_cast<NodeId>(v));
   });
 }
 

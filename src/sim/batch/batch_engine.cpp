@@ -1,8 +1,41 @@
 #include "sim/batch/batch_engine.hpp"
 
+#include <array>
+
 #include "util/assert.hpp"
 
 namespace radio {
+namespace {
+
+/// 64 lane counters, bit-sliced: plane k holds bit k of every lane's count,
+/// so add() counts one event in every lane of a mask with a ripple carry
+/// through the low planes, not one memory increment per lane. A count never
+/// exceeds one round's listeners, fewer than 2³², so 32 planes hold it.
+class LaneTally {
+ public:
+  void add(std::uint64_t lanes) noexcept {
+    std::uint32_t k = 0;
+    for (; lanes != 0; ++k) {
+      const std::uint64_t carry = planes_[k] & lanes;
+      planes_[k] ^= lanes;
+      lanes = carry;
+    }
+    if (k > height_) height_ = k;
+  }
+
+  std::uint32_t count(std::uint32_t lane) const noexcept {
+    std::uint32_t total = 0;
+    for (std::uint32_t k = 0; k < height_; ++k)
+      total |= static_cast<std::uint32_t>((planes_[k] >> lane) & 1) << k;
+    return total;
+  }
+
+ private:
+  std::array<std::uint64_t, 32> planes_{};
+  std::uint32_t height_ = 0;  ///< planes at and above it are all zero
+};
+
+}  // namespace
 
 BatchEngine::BatchEngine(const Graph& g, std::uint32_t lanes)
     : graph_(&g), lane_count_(lanes) {
@@ -88,13 +121,12 @@ void BatchEngine::step(std::span<const std::uint32_t> active) {
   }
 
   // Classify every hit listener, all lanes at once.
+  LaneTally collisions;
+  LaneTally redundant;
   for (NodeId w : touched_) {
     const std::uint64_t listeners = ~tx_[w];  // transmitters never receive
     const std::uint64_t colliding = twice_[w] & listeners;
-    if (colliding != 0)
-      for_each_set_bit(colliding, 0, [&](std::size_t lane) {
-        ++outcome_[lane].collisions;
-      });
+    if (colliding != 0) collisions.add(colliding);
     const std::uint64_t unique = once_[w] & ~twice_[w] & listeners;
     if (unique == 0) continue;
     // Lanes whose transmitters are all informed deliver without resolving
@@ -115,11 +147,8 @@ void BatchEngine::step(std::span<const std::uint32_t> active) {
     }
     if (message == 0) continue;
     std::uint64_t& infw = informed_p_[w];
-    const std::uint64_t redundant = message & infw;
-    if (redundant != 0)
-      for_each_set_bit(redundant, 0, [&](std::size_t lane) {
-        ++outcome_[lane].redundant;
-      });
+    const std::uint64_t heard_again = message & infw;
+    if (heard_again != 0) redundant.add(heard_again);
     const std::uint64_t fresh = message & ~infw;
     if (fresh != 0) {
       infw |= fresh;
@@ -130,6 +159,11 @@ void BatchEngine::step(std::span<const std::uint32_t> active) {
         ++outcome_[lane].newly_informed;
       });
     }
+  }
+
+  for (std::uint32_t lane : active) {
+    outcome_[lane].collisions = collisions.count(lane);
+    outcome_[lane].redundant = redundant.count(lane);
   }
 
   // Reset scratch via the round's node lists (never O(n)).

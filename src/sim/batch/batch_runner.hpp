@@ -73,8 +73,9 @@ BatchDispatch plan_broadcast_batch(const Graph& g, int trials,
 /// Runs `trials` broadcasts of factory(t) on the SHARED graph g from
 /// `source`, trial t drawing from Rng::for_stream(seed, first_stream + t),
 /// batched up to `lanes` wide when the cost model approves and
-/// per-instance otherwise. Serial (no OpenMP): callers run it inside their
-/// own trial, e.g. one adversary search per run_trials trial.
+/// per-instance otherwise. Serial (no OpenMP): its callers are perfbench's
+/// `oblivious_batch` workload, bench_layers' `BM_BatchSweep` and the
+/// `Batch*` test suites.
 ///
 /// `factory` must be pure (no side effects): the dispatcher probes
 /// factory(0) once to detect observation-feedback protocols.

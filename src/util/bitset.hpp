@@ -1,5 +1,6 @@
 // Flat dynamic bitset tuned for the simulator's hot loops: informed sets,
-// transmitter sets and per-round "hit once / hit twice" marks over node ids.
+// transmitter sets and per-round "hit once / hit twice" marks over node ids,
+// and the one fixed-q Bernoulli walk over a set (for_each_sampled).
 // std::vector<bool> is avoided (no word access, poor codegen); boost is not a
 // dependency. Only the operations the simulator needs are provided.
 #pragma once
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace radio {
 
@@ -107,6 +109,23 @@ class Bitset {
   void for_each_set(Fn&& fn) const {
     for (std::size_t wi = 0; wi < words_.size(); ++wi)
       for_each_set_bit(words_[wi], wi * 64, fn);
+  }
+
+  /// Calls fn(i), in increasing order, for the set bits i that a
+  /// Bernoulli(q) draw selects: one BernoulliDraw(q) per set bit, so the
+  /// selection and the generator state after it are exactly those of
+  /// `if (rng.bernoulli(q)) fn(i)` over for_each_set. The walk draws from a
+  /// local copy of `rng`, which the compiler keeps in registers, and writes
+  /// it back at the end; `fn` must therefore not draw from `rng`.
+  template <class Fn>
+  void for_each_sampled(double q, Rng& rng, Fn&& fn) const {
+    const BernoulliDraw selected(q);
+    Rng local = rng;
+    for (std::size_t wi = 0; wi < words_.size(); ++wi)
+      for_each_set_bit(words_[wi], wi * 64, [&](std::size_t i) {
+        if (selected(local)) fn(i);
+      });
+    rng = local;
   }
 
   /// Appends the indices of all set bits to `out` in increasing order.

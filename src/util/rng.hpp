@@ -139,9 +139,11 @@ using Rng = Xoshiro256StarStar;
 /// exact, and an integer is below a real iff it is below the real's
 /// ceiling), so each draw is one integer compare. q ≤ 0 and q ≥ 1 draw
 /// nothing, as bernoulli does; a NaN q draws once and is never selected,
-/// as bernoulli's `uniform() < NaN` is. The per-candidate selection loops
-/// (Theorem 5's phase 2, Theorem 7, the oblivious sequences) draw through
-/// it.
+/// as bernoulli's `uniform() < NaN` is. Bitset::for_each_sampled draws
+/// through it, and every fixed-q selection walks a set through that helper:
+/// Theorem 5's phase 2, both branches of Theorem 7, the oblivious sequences
+/// and uniform gossip. Adaptive backoff (a q per node) and Decay (a fair
+/// coin kept in place) call bernoulli directly.
 class BernoulliDraw {
  public:
   explicit BernoulliDraw(double q) noexcept;

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "core/centralized.hpp"
@@ -29,6 +30,29 @@ TEST(ImplicitGnp, MatchesMaterializedTwin) {
     EXPECT_EQ(g.degree(v), twin.degree(v));
     EXPECT_EQ(to_vector(g.neighbors(v)), to_vector(twin.neighbors(v)));
   }
+}
+
+TEST(ImplicitGnp, ConcurrentFirstQueriesShareOneIndex) {
+  // Copies share one lazily built index. Four threads race to its first
+  // query, each on its own copy: one builds it under call_once and
+  // publishes it, the others wait or read the published pointer, and every
+  // thread must see the complete CSR (ThreadSanitizer runs this suite).
+  const ImplicitGnp g(3000, 0.004, 97);
+  const Graph twin = ImplicitGnp(3000, 0.004, 97).materialize();
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t, copy = g] {
+      for (NodeId v = static_cast<NodeId>(t); v < copy.num_nodes(); ++v)
+        if (to_vector(copy.neighbors(v)) != to_vector(twin.neighbors(v)) ||
+            copy.degree(v) != twin.degree(v))
+          ++mismatches[static_cast<std::size_t>(t)];
+      if (copy.num_edges() != twin.num_edges())
+        ++mismatches[static_cast<std::size_t>(t)];
+    });
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches, std::vector<int>(kThreads, 0));
 }
 
 TEST(ImplicitGnp, MatchesGraphBuiltFromForwardStreams) {

@@ -7,6 +7,7 @@
 // half (trial packing).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <ostream>
 #include <memory>
@@ -125,7 +126,10 @@ INSTANTIATE_TEST_SUITE_P(
         // Partial word past bit 31: lanes use the word's upper half.
         Scenario{80, 0.10, 40, 10},
         // Tiny dense graph, lanes outnumber nodes (sources wrap).
-        Scenario{9, 0.50, 64, 8}),
+        Scenario{9, 0.50, 64, 8},
+        // Dense and wide: thousands of colliding listeners per lane and
+        // round, so the bit-sliced lane tallies carry past plane 12.
+        Scenario{8257, 0.50, 40, 3}),
     [](const ::testing::TestParamInfo<Scenario>& pinfo) {
       std::string name = "n";
       name += std::to_string(pinfo.param.n);
@@ -174,6 +178,68 @@ TEST(BatchEquivalence, PathGraphSingletonWavefrontsMatch) {
   }
   for (std::uint32_t lane = 0; lane < lanes; ++lane)
     EXPECT_TRUE(engine.complete(lane));
+}
+
+TEST(BatchEquivalence, HubCountsPastTwelveBitsMatch) {
+  // Two hubs joined to every one of m > 2¹² leaves (K_{2,m}). A lone hub
+  // transmission reaches all m leaves, so once they are informed every lane
+  // counts about m redundant receptions or, with both hubs on, m collisions
+  // in one round: the bit-sliced lane tallies must read out plane 12 for
+  // both counters, in lanes below and above bit 31.
+  const NodeId m = 4200;
+  const NodeId n = m + 2;
+  std::vector<Edge> edges;
+  for (NodeId leaf = 2; leaf < n; ++leaf) {
+    edges.push_back({0, leaf});
+    edges.push_back({1, leaf});
+  }
+  const Graph g = Graph::from_edges(n, edges);
+
+  const std::uint32_t lanes = 48;
+  BatchEngine engine(g, lanes);
+  std::vector<std::unique_ptr<BroadcastSession>> ref;
+  std::vector<std::uint32_t> active;
+  for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+    engine.open_lane(lane, lane % 2);
+    ref.push_back(std::make_unique<BroadcastSession>(g, lane % 2));
+    active.push_back(lane);
+  }
+  std::uint32_t most_collisions = 0;
+  std::uint32_t most_redundant = 0;
+  for (std::uint32_t round = 1; round <= 4; ++round) {
+    std::vector<std::vector<NodeId>> tx(lanes);
+    for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+      const NodeId hub = lane % 2;
+      // Round 1 informs the leaves; later rounds add lane-dependent leaf
+      // transmitters (fewer listeners, and the other hub hears them) and,
+      // in every third lane, the other hub as a second hub transmitter.
+      tx[lane].push_back(hub);
+      if (round > 1) {
+        if (lane % 3 == 0) tx[lane].push_back(1 - hub);
+        for (NodeId k = 0; k < (lane + round) % 5; ++k)
+          tx[lane].push_back(2 + k);
+      }
+      engine.add_transmitters(lane, tx[lane]);
+    }
+    engine.step(active);
+    for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+      const RoundStats& stats = ref[lane]->step(tx[lane]);
+      const BatchEngine::LaneOutcome& outcome = engine.outcome(lane);
+      ASSERT_EQ(outcome.transmitters, stats.transmitters)
+          << "lane " << lane << " round " << round;
+      ASSERT_EQ(outcome.newly_informed, stats.newly_informed)
+          << "lane " << lane << " round " << round;
+      ASSERT_EQ(outcome.collisions, stats.collisions)
+          << "lane " << lane << " round " << round;
+      ASSERT_EQ(outcome.redundant, stats.wasted)
+          << "lane " << lane << " round " << round;
+      ASSERT_EQ(engine.informed_count(lane), ref[lane]->informed_count());
+      most_collisions = std::max(most_collisions, outcome.collisions);
+      most_redundant = std::max(most_redundant, outcome.redundant);
+    }
+  }
+  EXPECT_GT(most_collisions, 1u << 12);
+  EXPECT_GT(most_redundant, 1u << 12);
 }
 
 }  // namespace

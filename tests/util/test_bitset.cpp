@@ -1,10 +1,13 @@
-// Bitset: word-boundary behaviour, counting, collection, and the
-// set_if_clear primitive the simulator relies on.
+// Bitset: word-boundary behaviour, counting, collection, the set_if_clear
+// primitive the simulator relies on, and the fixed-q sampling walk.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "util/bitset.hpp"
+#include "util/rng.hpp"
 
 namespace radio {
 namespace {
@@ -197,6 +200,52 @@ TEST(Bitset, CountMatchesManualTallyOnPattern) {
     ++expected;
   }
   EXPECT_EQ(b.count(), expected);
+}
+
+// ---- for_each_sampled: rng.bernoulli(q) per set bit, draw for draw.
+
+TEST(BitsetSampling, MatchesPerBitBernoulliAndGeneratorState) {
+  const double probabilities[] = {0.0,
+                                  -1.0,
+                                  1.0,
+                                  2.0,
+                                  std::numeric_limits<double>::quiet_NaN(),
+                                  0x1.0p-53,
+                                  1.0 / 3.0,
+                                  1.0 / 69.0,
+                                  std::nextafter(1.0, 0.0)};
+  enum class Fill { kEmpty, kSparse, kFull };
+  std::uint64_t seed = 900;
+  for (const std::size_t size : {0, 1, 63, 64, 65, 4133}) {
+    for (const Fill fill : {Fill::kEmpty, Fill::kSparse, Fill::kFull}) {
+      Bitset set(size);
+      for (std::size_t i = 0; i < size; ++i)
+        if (fill == Fill::kFull || (fill == Fill::kSparse && i % 13 == 5))
+          set.set(i);
+      if (fill == Fill::kSparse && size > 0) set.set(size - 1);
+      for (const double q : probabilities) {
+        Rng rng(++seed);
+        Rng reference = rng;
+        std::vector<std::size_t> expected;
+        for (std::size_t i = 0; i < size; ++i)
+          if (set.test(i) && reference.bernoulli(q)) expected.push_back(i);
+        std::vector<std::size_t> selected;
+        set.for_each_sampled(q, rng,
+                             [&](std::size_t i) { selected.push_back(i); });
+        ASSERT_EQ(selected, expected)
+            << "size " << size << ", q = " << q << ", set bits "
+            << set.count();
+        for (int i = 0; i < 4; ++i)
+          ASSERT_EQ(rng(), reference())
+              << "size " << size << ", q = " << q << ", set bits "
+              << set.count();
+        if (std::isnan(q)) {
+          // bernoulli(NaN) draws once per bit and never selects.
+          EXPECT_TRUE(selected.empty());
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
